@@ -25,7 +25,7 @@ from repro.core.protocol_mode import CoherenceMode
 from repro.cpu.core import CpuCore
 from repro.cpu.hierarchy import CpuMemorySubsystem
 from repro.engine.clock import ClockDomain
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import Simulator, gc_suspended
 from repro.gpu.gpu import GpuDevice
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.interconnect.direct_network import DirectStoreNetwork
@@ -342,22 +342,50 @@ class IntegratedSystem:
         return region.start
 
     def run(self, workload: Workload) -> RunResult:
-        """Execute *workload* to completion and return its metrics."""
+        """Execute *workload* to completion and return its metrics.
+
+        The cyclic garbage collector stays off from trace build to
+        result collection.  Every component's state is left in place,
+        so the system can be inspected afterwards; :meth:`close` frees
+        it.
+        """
         if self._ran:
             raise RuntimeError(
                 "IntegratedSystem instances are single-use; build a fresh "
                 "one per run")
         self._ran = True
-        with PROFILER.section("trace_build"):
-            self._phases = workload.build_phases(self.build_context())
-        if not self._phases:
-            raise ValueError(f"workload {workload!r} built no phases")
-        self._phase_index = 0
-        self._start_next_phase(0)
-        self.simulator.run()
-        if self.sampler is not None:
-            self.sampler.finalize(self._finish_tick)
-        return self._collect(workload)
+        with gc_suspended():
+            with PROFILER.section("trace_build"):
+                self._phases = workload.build_phases(self.build_context())
+            if not self._phases:
+                raise ValueError(f"workload {workload!r} built no phases")
+            self._phase_index = 0
+            self._start_next_phase(0)
+            self.simulator.run()
+            if self.sampler is not None:
+                self.sampler.finalize(self._finish_tick)
+            return self._collect(workload)
+
+    def close(self) -> None:
+        """Release the per-run state: trace, warps, cache contents.
+
+        Components hold callbacks into each other, so a finished system
+        is a reference cycle that only the cyclic collector can free.
+        Emptying the large per-run containers here lets refcounting free
+        their contents (cache lines, trace ops, warps) at once and
+        leaves the collector a small skeleton.  A closed system cannot
+        run.
+        """
+        self._ran = True
+        self._phases = []
+        self.cpu_core.release()
+        for sm in self.sms:
+            sm.release()
+        for cache in (self.cpu_l1d, self.cpu_l1i, self.cpu_l2,
+                      *self.gpu_l2_slices):
+            cache.release()
+        self.cpu_tlb.flush()
+        self.gpu_tlb.flush()
 
     def _start_next_phase(self, finish_tick: int) -> None:
         self._finish_tick = max(self._finish_tick, finish_tick)

@@ -180,6 +180,11 @@ class CpuCore:
         self._stores_inflight -= 1
         self._maybe_finish()
 
+    def release(self) -> None:
+        """Drop the last phase's ops once the run is done."""
+        self._ops = []
+        self._stalled_on_store = None
+
     def _maybe_finish(self) -> None:
         if (self._running and self._next_op >= len(self._ops)
                 and self.store_buffer.is_empty

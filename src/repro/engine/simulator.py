@@ -26,11 +26,48 @@ without counting), matching the scalar loop's lazy discard.
 from __future__ import annotations
 
 import gc
-from typing import Optional
+import threading
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 from repro.engine.event import EventQueue
 from repro.engine.modes import engine_mode
 from repro.utils.profiler import PROFILER
+
+
+#: the collector is process-wide, so the count of open suspensions and
+#: the state to restore after the last one are too
+_gc_lock = threading.Lock()
+_gc_depth = 0
+_gc_restore = False
+
+
+@contextmanager
+def gc_suspended() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for the enclosed block.
+
+    A simulation point allocates heavily (trace ops, cache lines, heap
+    entries, callbacks) but creates nothing the cyclic collector needs
+    to free while it runs; its periodic scans are pure pause time.
+    Refcounting still reclaims the bulk of the garbage immediately.
+
+    Suspensions nest, also across threads: the first one in records
+    whether the collector was on and the last one out restores exactly
+    that, on every exit path.
+    """
+    global _gc_depth, _gc_restore
+    with _gc_lock:
+        if _gc_depth == 0:
+            _gc_restore = gc.isenabled()
+            gc.disable()
+        _gc_depth += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_depth -= 1
+            if _gc_depth == 0 and _gc_restore:
+                gc.enable()
 
 
 class SimulationLimitError(RuntimeError):
@@ -78,6 +115,11 @@ class Simulator:
         (coalescer, TLB, cache, protocol) subtract themselves from the
         engine's self time, and epoch extraction is broken out into
         ``engine_batch``.
+
+        The loop leaves the garbage collector alone: a simulation point
+        suspends it once, around trace build, run and collection
+        (:func:`gc_suspended`, entered by
+        :meth:`~repro.core.system.IntegratedSystem.run`).
         """
         if self.sampler is not None:
             # sampling interleaves with the queue between events; the
@@ -89,26 +131,14 @@ class Simulator:
             # "epoch" and "compiled" share the dispatch loop; compiled
             # mode differs only inside the queue's heap operations
             loop = self._run_epoch
-        # The loop allocates heavily (heap entries, closures, results)
-        # but the cyclic collector never finds anything load-bearing to
-        # free mid-run — its periodic scans are pure pause time, ~15% of
-        # the loop on event-heavy benchmarks.  Suspend it for the run;
-        # refcounting still reclaims the bulk of the garbage immediately.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
+        prof = PROFILER
+        if not prof.enabled:
+            return loop()
+        prof.start("engine")
         try:
-            prof = PROFILER
-            if not prof.enabled:
-                return loop()
-            prof.start("engine")
-            try:
-                return loop()
-            finally:
-                prof.stop()
+            return loop()
         finally:
-            if gc_was_enabled:
-                gc.enable()
+            prof.stop()
 
     def _run(self) -> int:
         """The scalar escape hatch: one heap pop per event.

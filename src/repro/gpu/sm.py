@@ -641,6 +641,12 @@ class StreamingMultiprocessor:
 
     # ------------------------------------------------------------------
 
+    def release(self) -> None:
+        """Drop the last kernel's warps and the L1 once the run is done."""
+        self._warps.clear()
+        self.loaded_values.clear()
+        self.l1.release()
+
     def _maybe_finish(self) -> None:
         if not self._active:
             return

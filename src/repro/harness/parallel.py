@@ -189,8 +189,13 @@ class ParallelRunner:
         if self.cache is None:
             return
         config = point.config or SystemConfig(track_values=False)
-        self.cache.put(point.code, point.input_size, point.mode, config,
-                       result, telemetry=point.telemetry)
+        try:
+            self.cache.put(point.code, point.input_size, point.mode,
+                           config, result, telemetry=point.telemetry)
+        except OSError:
+            # the run finished and keeps its result; the cache counted
+            # and logged the failed write
+            pass
 
     def _finish(self, index: int, point: RunPoint, result: RunResult,
                 results: List[Optional[RunResult]],

@@ -36,6 +36,7 @@ entry/byte/shard counts as a :class:`CacheStats`.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -45,6 +46,7 @@ import time
 from pathlib import Path
 from typing import Iterator, List, Optional, Union
 
+from repro import obslog
 from repro.core.config import SystemConfig
 from repro.core.metrics import RunResult
 from repro.core.protocol_mode import CoherenceMode
@@ -76,6 +78,8 @@ STALE_TMP_SECONDS = 600.0
 #: one process may write the same fingerprint from several threads)
 _TMP_COUNTER = itertools.count()
 
+_LOG = obslog.get_logger("harness.resultcache")
+
 #: process-wide service metrics (docs/OBSERVABILITY.md); per-instance
 #: hit/miss attributes stay — they scope one cache object, these
 #: aggregate the process
@@ -83,6 +87,8 @@ _METRIC_HITS = metric_names.declare(REGISTRY, metric_names.CACHE_HITS)
 _METRIC_MISSES = metric_names.declare(REGISTRY,
                                       metric_names.CACHE_MISSES)
 _METRIC_PUTS = metric_names.declare(REGISTRY, metric_names.CACHE_PUTS)
+_METRIC_PUT_ERRORS = metric_names.declare(REGISTRY,
+                                          metric_names.CACHE_PUT_ERRORS)
 _METRIC_EVICTIONS = metric_names.declare(REGISTRY,
                                          metric_names.CACHE_EVICTIONS)
 _METRIC_COMPACTIONS = metric_names.declare(
@@ -237,11 +243,15 @@ class ResultCache:
     def put(self, code: str, input_size: str, mode: CoherenceMode,
             config: SystemConfig, result: RunResult,
             telemetry: Optional[TelemetrySettings] = None) -> Path:
-        """Store one finished run; returns the entry path."""
+        """Store one finished run; returns the entry path.
+
+        A failed write (full disk, read-only filesystem) leaves no temp
+        file behind, counts ``repro_cache_put_errors_total``, is logged
+        with the run fingerprint, and re-raises the ``OSError``.
+        """
         fingerprint = run_fingerprint(code, input_size, mode, config,
                                       telemetry)
         path = self._entry_path(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
         document = {
             "schema_version": CACHE_SCHEMA_VERSION,
             "fingerprint": fingerprint,
@@ -258,8 +268,17 @@ class ResultCache:
         tmp = path.with_name(
             f"{fingerprint}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp")
         entry_text = json.dumps(document)
-        tmp.write_text(entry_text)
-        tmp.replace(path)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(entry_text)
+            tmp.replace(path)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+            _METRIC_PUT_ERRORS.inc()
+            _LOG.warning("cache_put_failed", job=fingerprint,
+                         error=repr(exc))
+            raise
         _METRIC_PUTS.inc()
         _METRIC_ENTRY_BYTES.observe(len(entry_text))
         if self.byte_budget is not None:

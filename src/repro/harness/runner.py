@@ -9,6 +9,7 @@ from repro.core.config import SystemConfig
 from repro.core.metrics import RunResult
 from repro.core.protocol_mode import CoherenceMode
 from repro.core.system import IntegratedSystem
+from repro.engine.simulator import gc_suspended
 from repro.telemetry import TelemetrySettings
 from repro.workloads.suite import get_workload
 
@@ -27,8 +28,12 @@ def run_benchmark(code: str, input_size: str, mode: CoherenceMode,
     process-global ``TRACER``).
     """
     config = config or SystemConfig(track_values=False)
-    system = IntegratedSystem(config, mode, telemetry=telemetry)
-    return system.run(get_workload(code, input_size))
+    with gc_suspended():
+        system = IntegratedSystem(config, mode, telemetry=telemetry)
+        try:
+            return system.run(get_workload(code, input_size))
+        finally:
+            system.close()
 
 
 @dataclass

@@ -297,6 +297,19 @@ class SetAssociativeCache:
         self._valid_masks = [0] * self.num_sets
         return count
 
+    def release(self) -> None:
+        """Drop every line and the per-run bookkeeping once a run is done.
+
+        Cleared in place, because hot paths bind these containers when
+        they are built.  A released cache holds no lines and must not be
+        accessed again.
+        """
+        self._sets.clear()
+        self._line_map.clear()
+        self._touched.clear()
+        self._demand_seen.clear()
+        self.policy.release()
+
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------

@@ -47,6 +47,9 @@ class ReplacementPolicy(ABC):
     def on_invalidate(self, set_index: int, way: int) -> None:
         """Record an invalidation (default: no metadata change)."""
 
+    def release(self) -> None:
+        """Drop the per-set metadata once the owning cache is done."""
+
 
 class LRUReplacement(ReplacementPolicy):
     """Exact LRU using a per-set recency stack (list, MRU at the back)."""
@@ -67,6 +70,9 @@ class LRUReplacement(ReplacementPolicy):
 
     def victim_way(self, set_index: int) -> int:
         return self._stacks[set_index][0]
+
+    def release(self) -> None:
+        self._stacks.clear()
 
     def on_invalidate(self, set_index: int, way: int) -> None:
         # demote to LRU position so the hole is reused first
@@ -118,6 +124,9 @@ class PseudoLRUReplacement(ReplacementPolicy):
             node = 2 * node + bit
         return way
 
+    def release(self) -> None:
+        self._bits.clear()
+
 
 class FIFOReplacement(ReplacementPolicy):
     """Evict ways in fill order, ignoring hits."""
@@ -137,6 +146,9 @@ class FIFOReplacement(ReplacementPolicy):
 
     def victim_way(self, set_index: int) -> int:
         return self._order[set_index][0]
+
+    def release(self) -> None:
+        self._order.clear()
 
 
 class RandomReplacement(ReplacementPolicy):

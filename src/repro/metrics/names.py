@@ -58,6 +58,7 @@ UPTIME_SECONDS = "repro_uptime_seconds"
 CACHE_HITS = "repro_cache_hits_total"
 CACHE_MISSES = "repro_cache_misses_total"
 CACHE_PUTS = "repro_cache_puts_total"
+CACHE_PUT_ERRORS = "repro_cache_put_errors_total"
 CACHE_EVICTIONS = "repro_cache_evictions_total"
 CACHE_COMPACTIONS = "repro_cache_compactions_total"
 CACHE_ENTRIES = "repro_cache_entries"
@@ -106,6 +107,9 @@ CATALOG: Dict[str, MetricSpec] = {spec.name: spec for spec in (
                "Result-cache lookups that missed"),
     MetricSpec(CACHE_PUTS, "counter",
                "Finished runs written to the result cache"),
+    MetricSpec(CACHE_PUT_ERRORS, "counter",
+               "Cache writes that failed with an OS error (the run's "
+               "result is still returned)"),
     MetricSpec(CACHE_EVICTIONS, "counter",
                "Entries deleted to enforce the byte budget"),
     MetricSpec(CACHE_COMPACTIONS, "counter",
@@ -142,8 +146,8 @@ SCHEDULER_FAMILIES = (JOBS_SUBMITTED, JOBS_DEDUPLICATED, JOBS_SETTLED,
 
 #: the families `repro cache stats` reports next to its scan columns
 CACHE_FAMILIES = (CACHE_HITS, CACHE_MISSES, CACHE_PUTS,
-                  CACHE_EVICTIONS, CACHE_COMPACTIONS, CACHE_ENTRIES,
-                  CACHE_DISK_BYTES)
+                  CACHE_PUT_ERRORS, CACHE_EVICTIONS, CACHE_COMPACTIONS,
+                  CACHE_ENTRIES, CACHE_DISK_BYTES)
 
 
 def declare(registry: MetricsRegistry, name: str) -> Any:

@@ -5,11 +5,17 @@ output, ``BENCH_harness.json``) embeds a manifest so numbers can always
 be tied back to the exact code, interpreter, and configuration that
 produced them.  All git lookups degrade to ``None`` outside a checkout —
 a manifest never makes a run fail.
+
+The git fields are looked up once per process, on the first manifest,
+and describe the checkout as the process first saw it: the code a
+running process has loaded cannot change under it, so one lookup
+describes every run it makes.  The other fields are taken per call.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -34,10 +40,12 @@ def _git(*args: str) -> Optional[str]:
     return result.stdout.decode("utf-8", "replace").strip()
 
 
+@functools.lru_cache(maxsize=None)
 def git_revision() -> Optional[str]:
     return _git("rev-parse", "HEAD")
 
 
+@functools.lru_cache(maxsize=None)
 def git_dirty() -> Optional[bool]:
     status = _git("status", "--porcelain")
     if status is None:

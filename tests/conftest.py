@@ -1,5 +1,8 @@
 """Shared fixtures: small, fast system configurations for tests."""
 
+import errno
+import os
+
 import pytest
 
 from repro.core.config import (
@@ -30,3 +33,12 @@ def tiny_config() -> SystemConfig:
 def table1_config() -> SystemConfig:
     """The paper's full Table I configuration."""
     return SystemConfig()
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Every ``os.replace`` fails with ENOSPC, as on a full disk."""
+    def replace(src, dst, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(dst))
+
+    monkeypatch.setattr(os, "replace", replace)

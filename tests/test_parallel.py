@@ -295,6 +295,17 @@ class TestCacheIntegration:
         assert first[0].total_ticks == second[0].total_ticks
         assert first[0].stats == second[0].stats
 
+    def test_failed_cache_write_keeps_the_result(self, tiny_config,
+                                                 tmp_path, full_disk):
+        from repro.harness.resultcache import ResultCache
+        config = tiny_config.with_overrides(track_values=False)
+        point = RunPoint("VA", "small", CoherenceMode.CCSM, config)
+        [result] = ParallelRunner(
+            jobs=1, cache=ResultCache(tmp_path)).run_points([point])
+        fresh = run_benchmark("VA", "small", CoherenceMode.CCSM, config)
+        assert result.to_dict() == fresh.to_dict()
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_cached_result_matches_fresh_run(self, tiny_config, tmp_path):
         from repro.harness.resultcache import ResultCache
         config = tiny_config.with_overrides(track_values=False)

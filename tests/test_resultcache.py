@@ -244,6 +244,21 @@ class TestTempFiles:
                   _result())
         assert list(tmp_path.rglob("*.tmp")) == []
 
+    def test_failed_put_cleans_up_and_counts(self, tiny_config, tmp_path,
+                                             full_disk):
+        import errno
+        from repro.metrics import REGISTRY, names
+        errors = REGISTRY.get(names.CACHE_PUT_ERRORS).labels()
+        before = errors.value
+        cache = ResultCache(tmp_path)
+        with pytest.raises(OSError) as failure:
+            cache.put("VA", "small", CoherenceMode.CCSM, tiny_config,
+                      _result())
+        assert failure.value.errno == errno.ENOSPC
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert cache.scan().entries == 0
+        assert errors.value == before + 1
+
     def test_clear_sweeps_orphaned_tmp(self, tiny_config, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("VA", "small", CoherenceMode.CCSM, tiny_config,

@@ -1,7 +1,9 @@
 """Tests for the simulation service (payloads, scheduler, HTTP)."""
 
 import asyncio
+import errno
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -213,6 +215,42 @@ class TestScheduler:
             await scheduler.shutdown()
 
         asyncio.run(main())
+
+
+    def test_failed_cache_write_keeps_finished_job(self, monkeypatch,
+                                                   tmp_path, full_disk):
+        import io
+        from repro import obslog
+        from repro.metrics import REGISTRY, names
+        _fake_executor(monkeypatch)
+        errors = REGISTRY.get(names.CACHE_PUT_ERRORS).labels()
+        before = errors.value
+        buffer = io.StringIO()
+        obslog.configure("json", stream=buffer)
+
+        async def main():
+            scheduler = JobScheduler(cache=ResultCache(tmp_path), jobs=1,
+                                     use_processes=False)
+            job = scheduler.submit_payload(
+                {"code": "VA", "config": TINY_CONFIG})
+            await job.wait_terminal()
+            await scheduler.shutdown()
+            return job
+
+        try:
+            job = asyncio.run(main())
+        finally:
+            obslog.reset()
+        assert job.state is JobState.DONE
+        assert job.result is not None and job.result.total_ticks > 0
+        assert errors.value == before + 1
+        assert list(tmp_path.rglob("*.tmp")) == []
+        records = [json.loads(line)
+                   for line in buffer.getvalue().splitlines()]
+        failures = [record for record in records
+                    if record["event"] == "cache_put_failed"]
+        assert [record["job"] for record in failures] == [job.fingerprint]
+        assert os.strerror(errno.ENOSPC) in failures[0]["error"]
 
 
 @pytest.fixture(scope="module")

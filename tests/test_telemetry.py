@@ -361,3 +361,41 @@ class TestManifest:
         tweaked = run_manifest(tweaked_config)
         assert small["config_fingerprint"] != tweaked["config_fingerprint"]
         assert run_manifest()["config_fingerprint"] is None
+
+    def test_git_is_spawned_once_per_process(self, monkeypatch, tmp_path):
+        import subprocess
+        import sys
+
+        from repro.serve.jobs import Job, parse_job_payload
+        from repro.telemetry import manifest as manifest_module
+
+        spawns = []
+        real_run = subprocess.run
+
+        def counting_run(args, *rest, **kwargs):
+            if args[0] == "git":
+                spawns.append(args)
+            return real_run(args, *rest, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        manifest_module.git_revision.cache_clear()
+        manifest_module.git_dirty.cache_clear()
+        cache = ResultCache(tmp_path)
+        point = parse_job_payload({"code": "VA"})
+        manifests = []
+        for index in range(3):
+            monkeypatch.setattr(sys, "argv", ["repro", f"call{index}"])
+            config = SystemConfig(max_events=1_000_000 + index)
+            manifests.append(run_manifest(config))
+            cache.put("VA", "small", CoherenceMode.CCSM, config,
+                      RunResult(workload="VA/small", mode="ccsm",
+                                total_ticks=index))
+            manifests.append(Job(f"job{index}", point).manifest)
+        assert len(spawns) <= 2
+        assert len({(m["git_sha"], m["git_dirty"])
+                    for m in manifests}) == 1
+        # the per-call fields are still taken per call
+        direct = manifests[0::2]
+        assert len({m["argv"][1] for m in direct}) == 3
+        assert len({m["config_fingerprint"] for m in direct}) == 3
+        assert manifests[0]["timestamp"] != manifests[-1]["timestamp"]
