@@ -83,12 +83,6 @@ def _parser() -> argparse.ArgumentParser:
         help="attribute host wall time to simulator components "
              "(coalescer/TLB/cache/protocol/engine) and print a table")
     run.add_argument(
-        "--engine", choices=("auto", "epoch", "scalar", "compiled"),
-        default="auto",
-        help="event-engine implementation (auto: environment "
-             "REPRO_SCALAR_ENGINE/REPRO_COMPILED_ENGINE, else epoch); "
-             "all three are bit-identical — see docs/PERFORMANCE.md")
-    run.add_argument(
         "--trace-out", default=None, metavar="PATH",
         help="write a Chrome trace-event JSON (open in Perfetto); with "
              "--mode all the mode is suffixed, e.g. trace.ccsm.json")
@@ -261,15 +255,6 @@ def _mode_path(path: str, mode: CoherenceMode, multi: bool) -> str:
 
 
 def _cmd_run(args) -> int:
-    if args.engine != "auto":
-        # the mode env vars are the single source of truth the engine
-        # reads at run start; the flag just sets them for this process
-        import os
-        from repro.engine.modes import COMPILED_ENGINE_ENV, SCALAR_ENGINE_ENV
-        os.environ[SCALAR_ENGINE_ENV] = \
-            "1" if args.engine == "scalar" else "0"
-        os.environ[COMPILED_ENGINE_ENV] = \
-            "1" if args.engine == "compiled" else "0"
     if args.profile:
         from repro.utils.profiler import PROFILER
         PROFILER.enable()

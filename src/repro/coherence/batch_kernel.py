@@ -1,9 +1,8 @@
 """The batched coherence/memory kernel.
 
-This is the epoch-engine companion of :mod:`repro.engine.compiled`: where
-the compiled event queue flattens *when* callbacks run, this module
-flattens *what the hot callbacks do*.  In the layered reference path one
-coherent request crosses roughly a dozen Python frames —
+This module flattens *what the hot event callbacks do*.  In the layered
+reference path one coherent request crosses roughly a dozen Python
+frames —
 
     CoherentPort._request → HammerSystem.load → _fetch → _send
     → Network.send_raw → Link.send (×2 per message) → DramModel.access
@@ -20,9 +19,8 @@ whole request as straight-line integer code:
 * **Hammer state transitions** — dense per-event ``state-index →
   action-index`` rows derived from the declarative protocol table
   (:mod:`repro.coherence.protocol_table`), no enum-tuple hashing;
-* **DRAM bank/row timing** — the precomputed-tick arithmetic of
-  :meth:`~repro.mem.dram.DramModel.access` (and the numba-compilable
-  ``access_batch`` pass for wide batches);
+* **DRAM bank/row timing** — a bound
+  :meth:`~repro.mem.dram.DramModel.access`, called directly;
 * **link epoch booking** — cached ``(egress, ingress, size)`` routes
   booked directly, with :meth:`~repro.interconnect.link.Link.send_run`
   batching same-link fan-out runs (probe broadcasts).
@@ -30,12 +28,12 @@ whole request as straight-line integer code:
 Bit-identity contract: the kernel performs *exactly* the state changes,
 statistics updates, link bookings, DRAM accesses, and event postings of
 the reference path, in the same order, with the same integer arithmetic.
-``REPRO_SCALAR_ENGINE=1`` (or ``REPRO_BATCH_KERNEL=0``) keeps the
-original pure-Python path; CI diffs the two.  Observation features fall
-back per request: when the Perfetto tracer or a protocol tracer is live
-the kernel delegates to the reference path so trace streams stay
-identical, and rare/complex cases (MSHR-full parking and its drain
-replay) re-enter :meth:`CoherentPort._request` directly.
+``REPRO_BATCH_KERNEL=0`` keeps the layered path; the equivalence tests
+diff the two.  Observation features fall back per request: when the
+Perfetto tracer or a protocol tracer is live the kernel delegates to the
+reference path so trace streams stay identical, and rare/complex cases
+(MSHR-full parking and its drain replay) re-enter
+:meth:`CoherentPort._request` directly.
 """
 
 from __future__ import annotations

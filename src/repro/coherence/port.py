@@ -17,17 +17,33 @@ racing.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from functools import partial
 from typing import Callable, Optional
 
 from repro.coherence.hammer import AccessResult, HammerSystem
 from repro.engine.event import EventQueue
-from repro.engine.modes import batch_kernel_enabled
 from repro.mem.mshr import MSHRFile
 from repro.utils.profiler import PROFILER
 
 Callback = Callable[[AccessResult], None]
+
+#: environment variable disabling the batched coherence/memory kernel
+#: (set to ``0``); the kernel is otherwise on
+BATCH_KERNEL_ENV = "REPRO_BATCH_KERNEL"
+
+
+def batch_kernel_enabled() -> bool:
+    """Is the batched coherence/memory kernel active?
+
+    The kernel (:mod:`repro.coherence.batch_kernel`) routes a port's
+    requests through fused, table-driven walks instead of the layered
+    per-message call path.  ``REPRO_BATCH_KERNEL=0`` keeps the layered
+    :meth:`CoherentPort._request` path, the bit-identical reference the
+    equivalence tests diff against.  Read when each port is built.
+    """
+    return os.environ.get(BATCH_KERNEL_ENV, "") != "0"
 
 
 class CoherentPort:

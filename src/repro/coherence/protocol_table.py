@@ -177,27 +177,13 @@ def next_state(state: HammerState, event: ProtocolEvent,
 # is derived from it at import time, so the safety tests that check the
 # declarative table transitively cover the fast paths too.
 
-#: stable integer indices for states/events/actions (definition order)
+#: stable integer indices for states and actions (definition order)
 STATE_INDEX: Dict[HammerState, int] = {
     state: i for i, state in enumerate(HammerState)}
-EVENT_INDEX: Dict[ProtocolEvent, int] = {
-    event: i for i, event in enumerate(ProtocolEvent)}
 ACTION_INDEX: Dict[Action, int] = {
     action: i for i, action in enumerate(Action)}
 STATE_BY_INDEX: Tuple[HammerState, ...] = tuple(HammerState)
-ACTION_BY_INDEX: Tuple[Action, ...] = tuple(Action)
 N_STATES = len(STATE_BY_INDEX)
-N_EVENTS = len(EVENT_INDEX)
-
-#: row-major ``state × event`` integer tables; ``-1`` marks an illegal
-#: transition.  This is the form a compiled (numba) transition kernel
-#: consumes — plain int64-indexable flat arrays with no objects.
-NEXT_STATE_TABLE: List[int] = [-1] * (N_STATES * N_EVENTS)
-ACTION_TABLE: List[int] = [-1] * (N_STATES * N_EVENTS)
-for (_state, _event), (_next, _action) in PROTOCOL_TABLE.items():
-    _flat = STATE_INDEX[_state] * N_EVENTS + EVENT_INDEX[_event]
-    NEXT_STATE_TABLE[_flat] = STATE_INDEX[_next]
-    ACTION_TABLE[_flat] = ACTION_INDEX[_action]
 
 #: per-event transition rows for the interpreted hot path: one dict
 #: lookup on the state object replaces tuple construction + hashing of

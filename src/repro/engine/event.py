@@ -19,15 +19,10 @@ internal scheduling paths (:meth:`~EventQueue.post_at` /
 entirely and push an anonymous entry; components that never cancel
 (ports, pipelines, cores) use them exclusively.
 
-Draining happens either per event (:meth:`~EventQueue.pop` /
-:meth:`~EventQueue.pop_entry`, the scalar escape hatch) or per *tick
-epoch* (:meth:`~EventQueue.pop_epoch`): every live entry of the
-earliest tick is extracted in one pass so the run loop dispatches from
-a flat batch.  Same-tick extraction is always order-safe — a callback
-can only schedule at the current tick or later, and anything it adds at
-the current tick gets a higher sequence number than every entry already
-extracted, so it lands in the *next* epoch of the same tick, exactly
-where the per-event loop would fire it.
+The run loop drains one entry at a time (:meth:`~EventQueue.pop_entry`),
+so a callback that schedules work at the current tick draws a higher
+sequence number than everything already queued for that tick and fires
+after it.
 
 The queue keeps an O(1) live-event count so ``__len__``/``__bool__``
 never scan.  Cancelled events are lazily discarded on pop, but when
@@ -216,8 +211,8 @@ class EventQueue:
 
         API-compatibility wrapper over :meth:`pop_entry`: anonymous
         entries (from :meth:`post_at`/:meth:`post_after`) come back
-        wrapped in a fresh, already-fired :class:`Event`.  Run loops use
-        :meth:`pop_entry`/:meth:`pop_epoch` directly.
+        wrapped in a fresh, already-fired :class:`Event`.  The run loop
+        uses :meth:`pop_entry` directly.
         """
         entry = self.pop_entry()
         if entry is None:
@@ -227,45 +222,6 @@ class EventQueue:
             event = Event(entry[0], entry[3])
             event.fired = True
         return event
-
-    def pop_epoch(self, batch: List[QueueEntry]) -> int:
-        """Extract every live entry of the earliest tick into *batch*.
-
-        *batch* is cleared first; ``current_tick`` advances to the
-        epoch's tick.  Returns the number of entries extracted (0 when
-        the queue is empty).  Extracted events are marked fired, but a
-        ``cancel()`` issued *during* the epoch (an earlier event
-        cancelling a later same-tick one) is still honoured: the
-        dispatch loop must re-check ``entry[2].cancelled`` per entry.
-        """
-        heap = self._heap
-        del batch[:]
-        while heap:
-            event = heap[0][2]
-            if event is not None and event.cancelled:
-                heappop(heap)
-                self._dead -= 1
-                continue
-            break
-        if not heap:
-            return 0
-        epoch_tick = heap[0][0]
-        self.current_tick = epoch_tick
-        append = batch.append
-        extracted = 0
-        while heap and heap[0][0] == epoch_tick:
-            entry = heappop(heap)
-            event = entry[2]
-            if event is not None:
-                if event.cancelled:
-                    self._dead -= 1
-                    continue
-                event._queue = None
-                event.fired = True
-            self._live -= 1
-            append(entry)
-            extracted += 1
-        return extracted
 
     def peek_tick(self) -> Optional[int]:
         """Tick of the next live event, or ``None`` if the queue is empty."""

@@ -10,19 +10,16 @@ The model answers one question per access: *at what tick is the data
 available?* — which is all the cache hierarchy above needs.
 
 Bank state lives in two parallel integer lists (open row per bank, with
-``-1`` for closed, and busy-until tick per bank) rather than objects:
-the scalar :meth:`DramModel.access` indexes them directly, and
-:meth:`DramModel.access_batch` can hand them to the numba-compilable
-timing kernel as int64 arrays without any translation.
+``-1`` for closed, and busy-until tick per bank) rather than objects, so
+:meth:`DramModel.access` indexes them directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.engine.clock import ClockDomain
-from repro.engine.modes import HAVE_NUMBA, maybe_njit
 from repro.telemetry.tracer import TRACER
 from repro.utils.bitops import is_power_of_two, log2_exact
 from repro.utils.profiler import PROFILER
@@ -61,46 +58,6 @@ class DramConfig:
         return self.num_channels * self.ranks_per_channel * self.banks_per_rank
 
 
-#: access outcome codes shared by the scalar and batched paths
-_ROW_HIT, _ROW_EMPTY, _ROW_MISS = 0, 1, 2
-
-
-@maybe_njit
-def _dram_timing_pass(addresses, starts, open_rows, ready_ticks,
-                      row_bits, bank_bits, bank_mask, cas_ticks,
-                      empty_ticks, miss_ticks, burst_ticks, ready_out,
-                      outcome_out):
-    """The batched bank/row timing pass over int64 arrays.
-
-    Accesses are resolved strictly in order — bank ``ready_tick`` and
-    ``open_row`` updates from element *i* are visible to element *i+1*,
-    exactly as a loop of scalar :meth:`DramModel.access` calls.  Written
-    in the numba nopython subset; the interpreted fallback executes the
-    same statements.
-    """
-    for i in range(len(addresses)):
-        row_local = addresses[i] >> row_bits
-        bank = row_local & bank_mask
-        row = row_local >> bank_bits
-        start = starts[i]
-        busy = ready_ticks[bank]
-        if busy > start:
-            start = busy
-        open_row = open_rows[bank]
-        if open_row == row:
-            ready = start + cas_ticks
-            outcome_out[i] = 0
-        elif open_row == -1:
-            ready = start + empty_ticks
-            outcome_out[i] = 1
-        else:
-            ready = start + miss_ticks
-            outcome_out[i] = 2
-        open_rows[bank] = row
-        ready_ticks[bank] = ready + burst_ticks
-        ready_out[i] = ready
-
-
 class DramModel:
     """Open-page DRAM with per-bank queueing."""
 
@@ -111,7 +68,7 @@ class DramModel:
         self.clock = ClockDomain(f"{name}.clock", self.config.frequency_hz)
         total_banks = self.config.total_banks
         #: open row per bank (``-1`` = closed) and busy-until tick per
-        #: bank — parallel int lists, the batched kernel's native shape
+        #: bank — parallel int lists
         self._bank_open_row: List[int] = [-1] * total_banks
         self._bank_ready: List[int] = [0] * total_banks
         self._bank_bits = log2_exact(total_banks)
@@ -193,109 +150,10 @@ class DramModel:
 
     def access_batch(self, addresses: Sequence[int],
                      start_ticks: Sequence[int]) -> List[int]:
-        """Resolve a batch of read accesses in order; return ready ticks.
-
-        Identical bank state, statistics, and per-element ready ticks to
-        calling :meth:`access` once per element — only the loop overhead
-        and counter updates are batched.  With numba available and a
-        batch wide enough to amortise the array round-trip, the timing
-        arithmetic runs in the compiled :func:`_dram_timing_pass`.
-        """
-        count = len(addresses)
-        if count == 0:
-            return []
-        if TRACER.enabled:
-            # tracing emits one span per access; keep the scalar path so
-            # the trace stream is identical
-            return [self.access(address, start)
-                    for address, start in zip(addresses, start_ticks)]
-        for address in addresses:
-            if address < 0 or address >= self._size_bytes:
-                raise ValueError(
-                    f"{self.name}: address {address:#x} outside "
-                    f"{self._size_bytes:#x}-byte DRAM")
-        prof = PROFILER
-        profiling = prof.enabled
-        if profiling:
-            prof.start("dram")
-        if HAVE_NUMBA and count >= 16:  # pragma: no cover - numba hosts
-            ready_list, outcomes = self._batch_compiled(
-                addresses, start_ticks)
-            hits = empties = misses = 0
-            for outcome in outcomes:
-                if outcome == _ROW_HIT:
-                    hits += 1
-                elif outcome == _ROW_EMPTY:
-                    empties += 1
-                else:
-                    misses += 1
-        else:
-            bank_open_row = self._bank_open_row
-            bank_ready = self._bank_ready
-            row_bits = self._row_bits
-            bank_mask = self._bank_mask
-            bank_bits = self._bank_bits
-            cas_ticks = self._cas_ticks
-            empty_ticks = self._empty_ticks
-            miss_ticks = self._miss_ticks
-            burst_ticks = self._burst_ticks
-            hits = empties = misses = 0
-            ready_list: List[int] = []
-            append = ready_list.append
-            for address, start in zip(addresses, start_ticks):
-                row_local = address >> row_bits
-                bank = row_local & bank_mask
-                row = row_local >> bank_bits
-                busy = bank_ready[bank]
-                if busy > start:
-                    start = busy
-                open_row = bank_open_row[bank]
-                if open_row == row:
-                    ready = start + cas_ticks
-                    hits += 1
-                elif open_row == -1:
-                    ready = start + empty_ticks
-                    empties += 1
-                else:
-                    ready = start + miss_ticks
-                    misses += 1
-                bank_open_row[bank] = row
-                bank_ready[bank] = ready + burst_ticks
-                append(ready)
-        self._reads.value += count
-        self._row_hits.value += hits
-        self._row_empty.value += empties
-        self._row_misses.value += misses
-        if profiling:
-            prof.stop()
-        return ready_list
-
-    def _batch_compiled(self, addresses: Sequence[int],
-                        start_ticks: Sequence[int]
-                        ) -> Tuple[List[int], List[int]]:  # pragma: no cover
-        """Round-trip one batch through the compiled timing pass.
-
-        Bank state is mirrored into int64 arrays for the kernel and
-        written back afterwards; everything stays integral, so the
-        results are bit-identical to the interpreted loop.
-        """
-        import numpy as np
-
-        count = len(addresses)
-        address_arr = np.fromiter(addresses, dtype=np.int64, count=count)
-        starts = np.fromiter(start_ticks, dtype=np.int64, count=count)
-        open_rows = np.asarray(self._bank_open_row, dtype=np.int64)
-        ready_ticks = np.asarray(self._bank_ready, dtype=np.int64)
-        ready_out = np.empty(count, dtype=np.int64)
-        outcome_out = np.empty(count, dtype=np.int64)
-        _dram_timing_pass(address_arr, starts, open_rows, ready_ticks,
-                          self._row_bits, self._bank_bits,
-                          self._bank_mask, self._cas_ticks,
-                          self._empty_ticks, self._miss_ticks,
-                          self._burst_ticks, ready_out, outcome_out)
-        self._bank_open_row[:] = [int(v) for v in open_rows]
-        self._bank_ready[:] = [int(v) for v in ready_ticks]
-        return [int(v) for v in ready_out], [int(v) for v in outcome_out]
+        """Resolve a batch of read accesses in order; return ready ticks."""
+        access = self.access
+        return [access(address, start)
+                for address, start in zip(addresses, start_ticks)]
 
     def post_write(self, address: int, now_tick: int) -> int:
         """A posted (buffered) write, e.g. an eviction writeback.

@@ -35,10 +35,28 @@ def table1_config() -> SystemConfig:
     return SystemConfig()
 
 
-@pytest.fixture
-def full_disk(monkeypatch):
-    """Every ``os.replace`` fails with ENOSPC, as on a full disk."""
+def _fail_replace(monkeypatch, code):
+    """Make every ``os.replace`` fail with ``code``; return ``code``."""
     def replace(src, dst, **kwargs):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(dst))
+        raise OSError(code, os.strerror(code), str(dst))
 
     monkeypatch.setattr(os, "replace", replace)
+    return code
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Every ``os.replace`` fails with ENOSPC, as on a full disk.
+
+    Returns the errno the failures carry.
+    """
+    return _fail_replace(monkeypatch, errno.ENOSPC)
+
+
+@pytest.fixture
+def read_only_disk(monkeypatch):
+    """Every ``os.replace`` fails with EROFS, as on a read-only mount.
+
+    Returns the errno the failures carry.
+    """
+    return _fail_replace(monkeypatch, errno.EROFS)

@@ -126,7 +126,6 @@ def run_trial(seed, num_mshrs, banks, n_ops=240):
 def test_random_mix_matches_scalar_path(monkeypatch, seed, num_mshrs,
                                         banks):
     monkeypatch.delenv("REPRO_BATCH_KERNEL", raising=False)
-    monkeypatch.delenv("REPRO_SCALAR_ENGINE", raising=False)
     fused = run_trial(seed, num_mshrs, banks)
     monkeypatch.setenv("REPRO_BATCH_KERNEL", "0")
     reference = run_trial(seed, num_mshrs, banks)
@@ -139,7 +138,6 @@ def test_random_mix_matches_scalar_path(monkeypatch, seed, num_mshrs,
 def test_stress_shape_reaches_the_fallback_paths(monkeypatch):
     """The tiny configuration must actually hit every forced-rare case."""
     monkeypatch.delenv("REPRO_BATCH_KERNEL", raising=False)
-    monkeypatch.delenv("REPRO_SCALAR_ENGINE", raising=False)
     _log, _now, _events, stats, parked = run_trial(0, 2, 2)
     merges = (stats["cpu.port.mshr.merges"]
               + stats["gpu0.port.mshr.merges"])

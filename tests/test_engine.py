@@ -158,16 +158,6 @@ class TestSimulator:
         with pytest.raises(SimulationLimitError):
             sim.run()
 
-    def test_run_until(self):
-        sim = Simulator()
-        fired = []
-        sim.queue.schedule_at(10, lambda: fired.append(10))
-        sim.queue.schedule_at(20, lambda: fired.append(20))
-        sim.run_until(15)
-        assert fired == [10]
-        sim.run()
-        assert fired == [10, 20]
-
 
 class TestEventQueueLiveCount:
     """The queue keeps an O(1) live count and compacts dead entries."""

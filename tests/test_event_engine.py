@@ -1,16 +1,15 @@
-"""Engine-equivalence and event-lifecycle tests.
+"""Event-lifecycle and run-loop tests.
 
-Three kinds of coverage for the epoch-batched run loop:
+Three kinds of coverage for the event queue and its two drain loops:
 
 * the :class:`Event` single-use contract (schedule → cancel →
   re-schedule must raise, not corrupt the queue's accounting);
-* fixed-seed property-style tests driving :class:`EventQueue` and
-  :class:`CompiledEventQueue` through random interleavings of
-  schedule / post / cancel / compaction against a naive sorted-list
-  reference model;
-* scalar vs epoch dispatch equivalence, including callbacks that
-  schedule same-tick work and cancel same-tick later events mid-batch,
-  and the event-budget trip point.
+* fixed-seed property-style tests driving :class:`EventQueue` through
+  random interleavings of schedule / post / cancel / compaction against
+  a naive sorted-list reference model;
+* plain vs sampled run-loop equivalence, including callbacks that
+  schedule same-tick work and cancel same-tick later events, and the
+  event- and tick-budget trip points.
 """
 
 import itertools
@@ -18,13 +17,12 @@ import random
 
 import pytest
 
-from repro.engine.compiled import CompiledEventQueue
 from repro.engine.event import Event, EventQueue
-from repro.engine.modes import engine_mode
 from repro.engine.simulator import SimulationLimitError, Simulator
+from repro.telemetry.sampler import IntervalSampler, Probe
 
-QUEUE_CLASSES = [EventQueue, CompiledEventQueue]
-QUEUE_IDS = ["python-heap", "key-heap"]
+QUEUE_CLASSES = [EventQueue]
+QUEUE_IDS = ["python-heap"]
 
 
 # ----------------------------------------------------------------------
@@ -135,20 +133,15 @@ def _drain_per_event(queue):
         entry[3]()
 
 
-def _drain_per_epoch(queue):
-    """The Simulator._run_epoch dispatch shape, minus budgets."""
-    batch = []
-    while queue.pop_epoch(batch):
-        for entry in batch:
-            event = entry[2]
-            if event is not None and event.cancelled:
-                continue
-            entry[3]()
+def _drain_sampled(queue):
+    """The Simulator._run_sampled dispatch shape, minus budgets."""
+    while queue.peek_tick() is not None:
+        queue.pop_entry()[3]()
 
 
 @pytest.mark.parametrize("queue_class", QUEUE_CLASSES, ids=QUEUE_IDS)
-@pytest.mark.parametrize("drain", [_drain_per_event, _drain_per_epoch],
-                         ids=["per-event", "per-epoch"])
+@pytest.mark.parametrize("drain", [_drain_per_event, _drain_sampled],
+                         ids=["per-event", "sampled"])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_random_interleaving_matches_reference(queue_class, drain, seed):
     rng = random.Random(seed)
@@ -204,7 +197,7 @@ def test_compaction_is_triggered_and_preserves_order(queue_class):
 
 
 # ----------------------------------------------------------------------
-# scalar vs epoch dispatch equivalence
+# plain vs sampled run-loop equivalence
 # ----------------------------------------------------------------------
 
 
@@ -212,7 +205,7 @@ def _dynamic_workload(queue, seed, spawn_budget=300):
     """Callbacks that schedule same-tick work and cancel pending events.
 
     The rng stream is consumed in fire order, so any ordering divergence
-    between two drain strategies derails the logs immediately.
+    between two drain loops derails the logs immediately.
     """
     rng = random.Random(seed)
     log = []
@@ -235,8 +228,7 @@ def _dynamic_workload(queue, seed, spawn_budget=300):
                 name = f"a{next(counter)}"
                 queue.post_after(rng.choice([0, 1, 3]), make(name))
             elif roll < 0.75 and pending:
-                # may cancel a same-tick event already extracted into
-                # the current epoch batch — must be skipped either way
+                # may cancel a same-tick event queued behind this one
                 keys = sorted(pending)
                 victim = pending.pop(keys[rng.randrange(len(keys))])
                 victim.cancel()
@@ -248,53 +240,56 @@ def _dynamic_workload(queue, seed, spawn_budget=300):
     return log
 
 
-@pytest.mark.parametrize("queue_class", QUEUE_CLASSES, ids=QUEUE_IDS)
+def _sampled_simulator(**budgets):
+    """A Simulator that drains through its sampled loop."""
+    sim = Simulator(**budgets)
+    sim.sampler = IntervalSampler(
+        2, [Probe("tick", lambda: sim.queue.current_tick, "gauge")])
+    return sim
+
+
+LOOPS = [("plain", Simulator), ("sampled", _sampled_simulator)]
+
+
 @pytest.mark.parametrize("seed", [7, 11, 13])
-def test_epoch_dispatch_matches_per_event_dispatch(queue_class, seed):
-    scalar_queue = queue_class()
-    scalar_log = _dynamic_workload(scalar_queue, seed)
-    _drain_per_event(scalar_queue)
+def test_sampled_loop_matches_plain_loop(seed):
+    plain = Simulator()
+    plain_log = _dynamic_workload(plain.queue, seed)
+    plain.run()
 
-    epoch_queue = queue_class()
-    epoch_log = _dynamic_workload(epoch_queue, seed)
-    _drain_per_epoch(epoch_queue)
+    sampled = _sampled_simulator()
+    sampled_log = _dynamic_workload(sampled.queue, seed)
+    sampled.run()
 
-    assert scalar_log == epoch_log
-    assert scalar_queue.current_tick == epoch_queue.current_tick
-
-
-def test_compiled_queue_matches_python_queue():
-    seed = 99
-    python_queue = EventQueue()
-    python_log = _dynamic_workload(python_queue, seed)
-    _drain_per_epoch(python_queue)
-
-    compiled_queue = CompiledEventQueue()
-    compiled_log = _dynamic_workload(compiled_queue, seed)
-    _drain_per_epoch(compiled_queue)
-
-    assert python_log == compiled_log
+    assert plain_log == sampled_log
+    assert plain.now == sampled.now
+    assert plain.events_fired == sampled.events_fired
+    assert sampled.sampler.to_timeseries().ticks
 
 
 def test_in_batch_cancellation_is_honoured_by_both_loops():
-    # A (tick 5, earlier seq) cancels B (tick 5, later seq): B is already
-    # in the epoch batch when A runs, and must still be skipped.
-    for drain in (_drain_per_event, _drain_per_epoch):
-        queue = EventQueue()
+    # A (tick 5, earlier seq) cancels B (tick 5, later seq): B is still
+    # queued when A runs and must be skipped.
+    for label, build in LOOPS:
+        sim = build()
+        queue = sim.queue
         fired = []
         # cancelling an already-fired same-tick event is a no-op
         b = queue.schedule_at(5, lambda: fired.append("b"), name="b")
         queue.schedule_at(5, lambda: (b.cancel(), fired.append("a")),
                           name="a")
-        drain(queue)
+        sim.run()
         assert fired == ["b", "a"]
+        assert sim.events_fired == 2
 
-        queue = EventQueue()
+        sim = build()
+        queue = sim.queue
         fired = []
         queue.post_at(5, lambda: (victim.cancel(), fired.append("a")))
         victim = queue.schedule_at(5, lambda: fired.append("b"), name="b")
-        drain(queue)
-        assert fired == ["a"], f"{drain.__name__} fired {fired}"
+        sim.run()
+        assert fired == ["a"], f"{label} loop fired {fired}"
+        assert sim.events_fired == 1
 
 
 def _budget_workload(queue):
@@ -310,46 +305,26 @@ def _budget_workload(queue):
     return fired
 
 
-def test_event_budget_trips_identically_across_modes(monkeypatch):
-    outcomes = {}
-    for mode_env in (None, "scalar", "compiled"):
-        monkeypatch.delenv("REPRO_SCALAR_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_COMPILED_ENGINE", raising=False)
-        if mode_env == "scalar":
-            monkeypatch.setenv("REPRO_SCALAR_ENGINE", "1")
-        elif mode_env == "compiled":
-            monkeypatch.setenv("REPRO_COMPILED_ENGINE", "1")
-        sim = Simulator(max_events=7)
+def test_event_budget_trips_identically_across_modes():
+    # the budget trips on the 8th pop, before its callback runs
+    for label, build in LOOPS:
+        sim = build(max_events=7)
         fired = _budget_workload(sim.queue)
         with pytest.raises(SimulationLimitError, match="event budget"):
             sim.run()
-        outcomes[mode_env] = (tuple(fired), sim.events_fired, sim.now)
-    assert outcomes[None] == outcomes["scalar"] == outcomes["compiled"]
+        assert fired == list(range(7)), label
+        assert sim.events_fired == 8, label
+        assert sim.now == 7, label
 
 
-def test_tick_budget_trips_identically_across_modes(monkeypatch):
-    outcomes = {}
-    for scalar in (False, True):
-        if scalar:
-            monkeypatch.setenv("REPRO_SCALAR_ENGINE", "1")
-        else:
-            monkeypatch.delenv("REPRO_SCALAR_ENGINE", raising=False)
-        sim = Simulator(max_ticks=10)
+def test_tick_budget_trips_identically_across_modes():
+    # the plain loop pops the tick-11 event, advancing the clock, then
+    # refuses it; the sampled loop refuses it on peek
+    for label, build in LOOPS:
+        sim = build(max_ticks=10)
         fired = _budget_workload(sim.queue)
         with pytest.raises(SimulationLimitError, match="tick budget"):
             sim.run()
-        outcomes[scalar] = tuple(fired)
-    assert outcomes[False] == outcomes[True]
-
-
-def test_engine_mode_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_SCALAR_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_COMPILED_ENGINE", raising=False)
-    assert engine_mode() == "epoch"
-    monkeypatch.setenv("REPRO_COMPILED_ENGINE", "1")
-    assert engine_mode() == "compiled"
-    monkeypatch.setenv("REPRO_SCALAR_ENGINE", "1")
-    assert engine_mode() == "scalar"  # scalar beats compiled
-    monkeypatch.setenv("REPRO_COMPILED_ENGINE", "0")
-    monkeypatch.setenv("REPRO_SCALAR_ENGINE", "0")
-    assert engine_mode() == "epoch"  # "0" means unset
+        assert fired == list(range(11)), label
+        assert sim.events_fired == 11, label
+        assert sim.now == (11 if label == "plain" else 10), label

@@ -297,6 +297,14 @@ class TestCacheIntegration:
 
     def test_failed_cache_write_keeps_the_result(self, tiny_config,
                                                  tmp_path, full_disk):
+        self._check_failed_cache_write(tiny_config, tmp_path)
+
+    def test_failed_cache_write_on_read_only_disk(self, tiny_config,
+                                                  tmp_path, read_only_disk):
+        self._check_failed_cache_write(tiny_config, tmp_path)
+
+    @staticmethod
+    def _check_failed_cache_write(tiny_config, tmp_path):
         from repro.harness.resultcache import ResultCache
         config = tiny_config.with_overrides(track_values=False)
         point = RunPoint("VA", "small", CoherenceMode.CCSM, config)

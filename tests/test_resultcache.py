@@ -246,7 +246,14 @@ class TestTempFiles:
 
     def test_failed_put_cleans_up_and_counts(self, tiny_config, tmp_path,
                                              full_disk):
-        import errno
+        self._check_failed_put(tiny_config, tmp_path, full_disk)
+
+    def test_failed_put_on_read_only_disk(self, tiny_config, tmp_path,
+                                          read_only_disk):
+        self._check_failed_put(tiny_config, tmp_path, read_only_disk)
+
+    @staticmethod
+    def _check_failed_put(tiny_config, tmp_path, code):
         from repro.metrics import REGISTRY, names
         errors = REGISTRY.get(names.CACHE_PUT_ERRORS).labels()
         before = errors.value
@@ -254,7 +261,7 @@ class TestTempFiles:
         with pytest.raises(OSError) as failure:
             cache.put("VA", "small", CoherenceMode.CCSM, tiny_config,
                       _result())
-        assert failure.value.errno == errno.ENOSPC
+        assert failure.value.errno == code
         assert list(tmp_path.rglob("*.tmp")) == []
         assert cache.scan().entries == 0
         assert errors.value == before + 1

@@ -1,7 +1,6 @@
 """Tests for the simulation service (payloads, scheduler, HTTP)."""
 
 import asyncio
-import errno
 import json
 import os
 import time
@@ -219,6 +218,15 @@ class TestScheduler:
 
     def test_failed_cache_write_keeps_finished_job(self, monkeypatch,
                                                    tmp_path, full_disk):
+        self._check_failed_cache_write(monkeypatch, tmp_path, full_disk)
+
+    def test_failed_cache_write_on_read_only_disk(self, monkeypatch,
+                                                  tmp_path, read_only_disk):
+        self._check_failed_cache_write(monkeypatch, tmp_path,
+                                       read_only_disk)
+
+    @staticmethod
+    def _check_failed_cache_write(monkeypatch, tmp_path, code):
         import io
         from repro import obslog
         from repro.metrics import REGISTRY, names
@@ -250,7 +258,7 @@ class TestScheduler:
         failures = [record for record in records
                     if record["event"] == "cache_put_failed"]
         assert [record["job"] for record in failures] == [job.fingerprint]
-        assert os.strerror(errno.ENOSPC) in failures[0]["error"]
+        assert os.strerror(code) in failures[0]["error"]
 
 
 @pytest.fixture(scope="module")

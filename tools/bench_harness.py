@@ -31,11 +31,6 @@ Usage::
                            KM FW GC)
     --pipeline-repeats N   timing repeats per pipeline mode (default 3)
     --skip-pipeline        omit the warp_pipeline section
-    --engine-codes ...     codes timed under the scalar vs epoch vs
-                           compiled event engines for the engine_core
-                           section (default: KM FW)
-    --engine-repeats N     timing repeats per engine mode (default 3)
-    --skip-engine          omit the engine_core section
     --service-code CODE    benchmark submitted through the job server
                            for the service section (default: VA)
     --skip-service         omit the service section
@@ -131,84 +126,6 @@ def bench_warp_pipeline(codes, input_size, repeats):
     section["ticks_identical"] = all(
         entry["ticks_identical"]
         for entry in section["benchmarks"].values())
-    return section
-
-
-def bench_engine_core(codes, input_size, repeats):
-    """Time the event-engine and batched-kernel combinations per benchmark.
-
-    Mirrors :func:`bench_warp_pipeline`: every mode runs *repeats*
-    times in-process (best-of, first run discarded as warm-up when
-    repeats > 1), and all modes must produce identical tick counts or
-    the record is flagged.  The env toggles work in-process because the
-    mode is resolved when each run's ``Simulator`` is constructed.
-
-    The modes isolate each optimisation layer: ``scalar`` is the
-    original per-event loop, ``epoch``/``compiled`` run the respective
-    drain loops with the batched coherence kernel *disabled*, and
-    ``batched_kernel``/``compiled_batched`` add the kernel back (the
-    shipping defaults).
-    """
-    from repro.engine.modes import (BATCH_KERNEL_ENV, COMPILED_ENGINE_ENV,
-                                    SCALAR_ENGINE_ENV)
-    env_names = (SCALAR_ENGINE_ENV, COMPILED_ENGINE_ENV, BATCH_KERNEL_ENV)
-    saved = {name: os.environ.get(name) for name in env_names}
-    env_by_mode = {
-        "scalar": {SCALAR_ENGINE_ENV: "1"},
-        "epoch": {BATCH_KERNEL_ENV: "0"},
-        "compiled": {COMPILED_ENGINE_ENV: "1", BATCH_KERNEL_ENV: "0"},
-        "batched_kernel": {},
-        "compiled_batched": {COMPILED_ENGINE_ENV: "1"},
-    }
-    section = {"input_size": input_size, "repeats": repeats,
-               "benchmarks": {}}
-    try:
-        for code in codes:
-            entry = {}
-            ticks = {}
-            for label, env in env_by_mode.items():
-                for name in env_names:
-                    os.environ.pop(name, None)
-                os.environ.update(env)
-                times = []
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    result = run_benchmark(code, input_size,
-                                           CoherenceMode.DIRECT_STORE)
-                    times.append(time.perf_counter() - start)
-                best = min(times[1:]) if len(times) > 1 else times[0]
-                entry[f"{label}_s"] = round(best, 3)
-                ticks[label] = result.total_ticks
-            entry["speedup_epoch_vs_scalar"] = round(
-                entry["scalar_s"] / entry["epoch_s"], 2)
-            entry["speedup_batched_vs_scalar"] = round(
-                entry["scalar_s"] / entry["batched_kernel_s"], 2)
-            entry["total_ticks"] = ticks["batched_kernel"]
-            entry["ticks_identical"] = len(set(ticks.values())) == 1
-            section["benchmarks"][code] = entry
-            print(f"engine_core    {code}: scalar {entry['scalar_s']}s, "
-                  f"epoch {entry['epoch_s']}s, "
-                  f"compiled {entry['compiled_s']}s, "
-                  f"batched {entry['batched_kernel_s']}s (ticks "
-                  f"{'equal' if entry['ticks_identical'] else 'DIFFER'})",
-                  file=sys.stderr)
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-    section["ticks_identical"] = all(
-        entry["ticks_identical"]
-        for entry in section["benchmarks"].values())
-    section["batched_kernel"] = {
-        "per_benchmark_s": {
-            code: entry["batched_kernel_s"]
-            for code, entry in section["benchmarks"].items()},
-        "speedup_vs_scalar": {
-            code: entry["speedup_batched_vs_scalar"]
-            for code, entry in section["benchmarks"].items()},
-    }
     return section
 
 
@@ -437,9 +354,6 @@ def main(argv=None):
                         default=["KM", "FW", "GC"])
     parser.add_argument("--pipeline-repeats", type=int, default=3)
     parser.add_argument("--skip-pipeline", action="store_true")
-    parser.add_argument("--engine-codes", nargs="*", default=["KM", "FW"])
-    parser.add_argument("--engine-repeats", type=int, default=3)
-    parser.add_argument("--skip-engine", action="store_true")
     parser.add_argument("--service-code", default="VA")
     parser.add_argument("--skip-service", action="store_true")
     parser.add_argument("--profile-codes", nargs="*", default=["KM", "FW"])
@@ -529,11 +443,6 @@ def main(argv=None):
         record["warp_pipeline"] = bench_warp_pipeline(
             args.pipeline_codes, args.input_size, args.pipeline_repeats)
         identical = identical and record["warp_pipeline"]["ticks_identical"]
-
-    if not args.skip_engine:
-        record["engine_core"] = bench_engine_core(
-            args.engine_codes, args.input_size, args.engine_repeats)
-        identical = identical and record["engine_core"]["ticks_identical"]
 
     if not args.skip_service:
         record["service"] = bench_service(args.service_code,
