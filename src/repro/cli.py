@@ -20,6 +20,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
@@ -35,6 +36,7 @@ from repro.harness.sweep import sweep_config
 from repro.harness.resultcache import default_cache
 from repro.telemetry import (TRACER, TelemetrySettings, write_chrome_trace,
                              write_jsonl)
+from repro.utils.profiler import SamplingProfiler
 from repro.workloads.suite import TABLE2, benchmark_codes
 
 MODES = {mode.value: mode for mode in CoherenceMode}
@@ -80,8 +82,8 @@ def _parser() -> argparse.ArgumentParser:
                      default="direct_store")
     run.add_argument(
         "--profile", action="store_true",
-        help="attribute host wall time to simulator components "
-             "(coalescer/TLB/cache/protocol/engine) and print a table")
+        help="sample host CPU time per simulator layer "
+             "(engine/warp/tlb/cache/protocol/...) and print a table")
     run.add_argument(
         "--trace-out", default=None, metavar="PATH",
         help="write a Chrome trace-event JSON (open in Perfetto); with "
@@ -255,10 +257,7 @@ def _mode_path(path: str, mode: CoherenceMode, multi: bool) -> str:
 
 
 def _cmd_run(args) -> int:
-    if args.profile:
-        from repro.utils.profiler import PROFILER
-        PROFILER.enable()
-        PROFILER.reset()
+    profiler = SamplingProfiler() if args.profile else None
     telemetry = TelemetrySettings.from_env(TelemetrySettings(
         trace=bool(args.trace_out or args.trace_jsonl),
         sample_interval=args.sample_interval or 0))
@@ -270,8 +269,9 @@ def _cmd_run(args) -> int:
     for mode in modes:
         if telemetry.trace:
             TRACER.clear()
-        result = run_benchmark(args.code, args.input_size, mode,
-                               telemetry=telemetry)
+        with profiler or contextlib.nullcontext():
+            result = run_benchmark(args.code, args.input_size, mode,
+                                   telemetry=telemetry)
         rows.append((mode.value, f"{result.total_ticks:,}",
                      f"{result.gpu_l2_miss_rate:.1%}",
                      f"{result.network_messages:,}",
@@ -299,9 +299,9 @@ def _cmd_run(args) -> int:
          "Forwards"], rows))
     for line in summaries:
         print(line)
-    if args.profile:
+    if profiler is not None:
         print("\nhost-time profile (all modes combined):")
-        print(PROFILER.report())
+        print(profiler.report())
     return 0
 
 

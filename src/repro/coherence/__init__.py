@@ -32,11 +32,8 @@ from repro.coherence.protocol_table import (
     next_state,
 )
 from repro.coherence.states import HammerState
-from repro.coherence.tracer import ProtocolTracer, TransitionEvent
 
 __all__ = [
-    "ProtocolTracer",
-    "TransitionEvent",
     "AccessResult",
     "CoherentAgent",
     "HammerSystem",

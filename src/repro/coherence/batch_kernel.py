@@ -30,8 +30,8 @@ statistics updates, link bookings, DRAM accesses, and event postings of
 the reference path, in the same order, with the same integer arithmetic.
 ``REPRO_BATCH_KERNEL=0`` keeps the layered path; the equivalence tests
 diff the two.  Observation features fall back per request: when the
-Perfetto tracer or a protocol tracer is live the kernel delegates to the
-reference path so trace streams stay identical, and rare/complex cases
+telemetry tracer is live the kernel delegates to the reference path so
+trace streams stay identical, and rare/complex cases
 (MSHR-full parking and its drain replay) re-enter
 :meth:`CoherentPort._request` directly.
 """
@@ -60,7 +60,6 @@ from repro.coherence.protocol_table import (
 from repro.coherence.states import HammerState
 from repro.interconnect.message import MessageClass
 from repro.telemetry.tracer import TRACER
-from repro.utils.profiler import PROFILER
 
 Callback = Callable[[AccessResult], None]
 
@@ -188,7 +187,7 @@ class PortBatchKernel:
         """Fused coherent load; mirrors ``CoherentPort.load`` exactly."""
         if not self._ready:
             self._setup()
-        if TRACER.enabled or self._engine.tracer is not None:
+        if TRACER.enabled:
             self._port._request(address, None, callback, is_store=False)
             return
         self._request_fused(address, None, callback, False, None)
@@ -199,7 +198,7 @@ class PortBatchKernel:
         """Fused coherent store; mirrors ``CoherentPort.store`` exactly."""
         if not self._ready:
             self._setup()
-        if TRACER.enabled or self._engine.tracer is not None:
+        if TRACER.enabled:
             self._port._request(address, value, callback, is_store=True,
                                 on_accept=on_accept)
             return
@@ -217,7 +216,7 @@ class PortBatchKernel:
         """
         if not self._ready:
             self._setup()
-        if TRACER.enabled or self._engine.tracer is not None:
+        if TRACER.enabled:
             request = self._port._request
             for address, callback in requests:
                 request(address, None, callback, is_store=False)
@@ -228,12 +227,7 @@ class PortBatchKernel:
             return
         line_mask = self._line_mask
         lines = [address & line_mask for address, _callback in requests]
-        profiling = PROFILER.enabled
-        if profiling:
-            PROFILER.start("mshr")
         inflight = self._mshrs.probe_batch(lines)
-        if profiling:
-            PROFILER.stop()
         merges = self._mshr_merges
         entries_get = self._mshr_entries.get
         replay = self._replay
@@ -261,7 +255,7 @@ class PortBatchKernel:
         re-enters ``_request``); the observation-fallback condition is
         re-checked because tracing can start between merge and fill.
         """
-        if TRACER.enabled or self._engine.tracer is not None:
+        if TRACER.enabled:
             self._port._request(address, value, callback, is_store)
             return
         self._request_fused(address, value, callback, is_store, None)
@@ -277,14 +271,8 @@ class PortBatchKernel:
         queue = self._queue
         now = queue.current_tick
 
-        prof = PROFILER
-        profiling = prof.enabled
-        if profiling:
-            prof.start("mshr")
         entry = self._mshr_entries.get(line_address)
         if entry is not None:
-            if profiling:
-                prof.stop()
             # merge: replay the whole request once the line settles
             if on_accept is not None:
                 self._post_after(0, on_accept)
@@ -293,20 +281,14 @@ class PortBatchKernel:
                 lambda: self._replay(address, value, callback, is_store))
             return
         if len(self._mshr_entries) >= self._num_mshrs:
-            if profiling:
-                prof.stop()
             # structural stall: park until an entry retires; the drain
             # replays through the reference path
             self._waiting.append(
                 (address, value, callback, is_store, on_accept))
             return
-        if profiling:
-            prof.stop()
         if on_accept is not None:
             self._post_after(0, on_accept)
 
-        if profiling:
-            prof.start("protocol")
         t_tags = now + self._tag_ticks
         local_line = address >> self._line_shift
         hit_entry = self._line_map_get(local_line)
@@ -324,8 +306,6 @@ class PortBatchKernel:
             result = (self._store_hit(line, address, value, t_tags)
                       if is_store
                       else self._load_hit(line, address, t_tags))
-            if profiling:
-                prof.stop()
             self._post_at(result.ready_tick, partial(callback, result))
             return
 
@@ -356,8 +336,6 @@ class PortBatchKernel:
                 else:
                     word = None
             result = AccessResult(ready, word, False, source)
-        if profiling:
-            prof.stop()
 
         entry = self._mshrs.allocate(line_address, now, is_write=is_store)
         assert entry is not None  # guarded by the is_full check above
@@ -433,17 +411,11 @@ class PortBatchKernel:
                 ProtocolEvent.STORE if exclusive else ProtocolEvent.LOAD,
                 f"{self._agent.name} may not cache line {line_address:#x}")
         (self._getx if exclusive else self._gets).value += 1
-        prof = PROFILER
-        profiling = prof.enabled
         messages = 1
         message_bytes = self._req_size
-        if profiling:
-            prof.start("network")
         at_switch = self._req_egress_send(self._req_size, now)
         t_mc = (self._req_ingress_send(self._req_size, at_switch)
                 + self._memctrl_ticks)
-        if profiling:
-            prof.stop()
 
         probe_row = (PROBE_GETX_ACTION_ROW if exclusive
                      else PROBE_GETS_ACTION_ROW)
@@ -463,8 +435,6 @@ class PortBatchKernel:
         mc_probe_send = self._mc_probe_egress_send
         append_response = response_ticks.append
 
-        if profiling:
-            prof.start("protocol_table")
         for (target, probe_filter, probe_in_send, resp_eg_send,
              resp_in_send, data_eg_send, data_in_send, t_map_get,
              t_shift, t_tag_ticks) in self._targets:
@@ -521,8 +491,6 @@ class PortBatchKernel:
                     resp_size, resp_eg_send(resp_size, t_snooped)))
                 messages += 1
                 message_bytes += resp_size
-        if profiling:
-            prof.stop()
 
         if owner_found:
             self._owner_transfers.value += 1
@@ -532,13 +500,9 @@ class PortBatchKernel:
             # speculative memory fetch (Hammer always reads memory)
             self._memory_fetches.value += 1
             dram_ready = self._dram_access(line_address, t_mc)
-            if profiling:
-                prof.start("network")
             append_response(self._data_ingress_send(
                 data_size, self._mc_data_egress_send(data_size,
                                                      dram_ready)))
-            if profiling:
-                prof.stop()
             messages += 1
             message_bytes += data_size
             payload = (self._image.read_line(line_address)

@@ -53,7 +53,6 @@ from repro.mem.cacheline import CacheLine
 from repro.mem.memimage import MemoryImage
 from repro.mem.dram import DramModel
 from repro.telemetry.tracer import TRACER
-from repro.utils.profiler import PROFILER
 from repro.utils.statistics import StatsRegistry
 
 #: node name of the memory controller / ordering point
@@ -146,8 +145,6 @@ class HammerSystem:
         self.broadcast_enabled = broadcast_enabled
         self.agents: Dict[str, CoherentAgent] = {}
         self.ds_network: Optional[DirectStoreNetwork] = None
-        #: optional ProtocolTracer; observation only, never affects timing
-        self.tracer = None
         self.line_size = network.line_size
         self.stats = StatsRegistry("hammer")
         self._gets = self.stats.counter("gets_requests")
@@ -401,7 +398,7 @@ class HammerSystem:
                         data[image.word_offset_in_line(word_address)] = \
                             word_value
             existing.dirty = True
-            if TRACER.enabled or self.tracer is not None:
+            if TRACER.enabled:
                 self._trace(slice_name, line_address, "RemoteStoreArrive",
                             old_state, HammerState.MM, t_done)
             return AccessResult(t_done, value, True, "local")
@@ -469,10 +466,6 @@ class HammerSystem:
         owner_found = False
         sharers_found = False
 
-        prof = PROFILER
-        profiling = prof.enabled
-        if profiling:
-            prof.start("protocol_table")
         for target in self._probe_targets(agent, line_address):
             t_probe = self._send(MEMCTRL, target.name, MessageClass.REQUEST,
                                  line_address, t_mc)
@@ -523,8 +516,6 @@ class HammerSystem:
                 response_ticks.append(self._send(
                     target.name, agent.name, MessageClass.RESPONSE,
                     line_address, t_snooped))
-        if profiling:
-            prof.stop()
 
         if owner_found:
             self._owner_transfers.value += 1
@@ -678,13 +669,6 @@ class HammerSystem:
                       "to": (new_state.value
                              if isinstance(new_state, HammerState)
                              else "-")})
-        if self.tracer is not None:
-            self.tracer.record(
-                tick, agent, line_address, event,
-                old_state.value if isinstance(old_state, HammerState)
-                else "-",
-                new_state.value if isinstance(new_state, HammerState)
-                else "-")
 
     def _send(self, src: str, dst: str, msg_class: MessageClass,
               line_address: int, now: int) -> int:

@@ -25,7 +25,6 @@ from typing import Callable, Optional
 from repro.coherence.hammer import AccessResult, HammerSystem
 from repro.engine.event import EventQueue
 from repro.mem.mshr import MSHRFile
-from repro.utils.profiler import PROFILER
 
 Callback = Callable[[AccessResult], None]
 
@@ -115,14 +114,8 @@ class CoherentPort:
         line_address = self._line(address)
         now = self.queue.current_tick
 
-        prof = PROFILER
-        profiling = prof.enabled
-        if profiling:
-            prof.start("mshr")
         in_flight = self._mshr_get(line_address)
         full = in_flight is None and self.mshrs.is_full
-        if profiling:
-            prof.stop()
         if in_flight is not None:
             # merge: replay the whole request once the line settles —
             # by then it is (usually) resident and completes locally.
@@ -138,14 +131,10 @@ class CoherentPort:
             return
         self._accept(on_accept)
 
-        if profiling:
-            prof.start("protocol")
         if is_store:
             result = self.engine.store(self.agent_name, address, value, now)
         else:
             result = self.engine.load(self.agent_name, address, now)
-        if profiling:
-            prof.stop()
 
         if result.hit:
             # no fill in flight; deliver at the access's ready tick

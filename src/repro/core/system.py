@@ -40,7 +40,6 @@ from repro.telemetry import (
     TelemetrySettings,
 )
 from repro.utils.bitops import is_power_of_two, log2_exact
-from repro.utils.profiler import PROFILER
 from repro.vm.mmap import MmapAllocator
 from repro.vm.mmu import MMU
 from repro.vm.pagetable import PageTable, PhysicalFrameAllocator
@@ -355,8 +354,7 @@ class IntegratedSystem:
                 "one per run")
         self._ran = True
         with gc_suspended():
-            with PROFILER.section("trace_build"):
-                self._phases = workload.build_phases(self.build_context())
+            self._phases = workload.build_phases(self.build_context())
             if not self._phases:
                 raise ValueError(f"workload {workload!r} built no phases")
             self._phase_index = 0

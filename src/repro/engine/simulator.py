@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from repro.engine.event import EventQueue
-from repro.utils.profiler import PROFILER
 
 
 #: the collector is process-wide, so the count of open suspensions and
@@ -87,25 +86,14 @@ class Simulator:
     def run(self) -> int:
         """Fire events until the queue is empty; return the final tick.
 
-        When profiling is enabled, the whole event loop is attributed to
-        the ``engine`` section; sections opened by event callbacks
-        (coalescer, TLB, cache, protocol) subtract themselves from the
-        engine's self time.
-
         The loop leaves the garbage collector alone: a simulation point
         suspends it once, around trace build, run and collection
         (:func:`gc_suspended`, entered by
         :meth:`~repro.core.system.IntegratedSystem.run`).
         """
-        loop = self._run if self.sampler is None else self._run_sampled
-        prof = PROFILER
-        if not prof.enabled:
-            return loop()
-        prof.start("engine")
-        try:
-            return loop()
-        finally:
-            prof.stop()
+        if self.sampler is None:
+            return self._run()
+        return self._run_sampled()
 
     def _run(self) -> int:
         """The event loop: one heap pop per event.

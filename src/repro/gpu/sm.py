@@ -24,7 +24,6 @@ from repro.gpu.coalescer import Coalescer
 from repro.mem.cache import SetAssociativeCache
 from repro.telemetry.tracer import TRACER
 from repro.utils.pipeline import scalar_pipeline_enabled
-from repro.utils.profiler import PROFILER
 from repro.utils.statistics import StatsRegistry
 from repro.vm.mmu import MMU
 from repro.workloads.trace import OpKind, WarpOp, WarpProgram
@@ -131,7 +130,6 @@ class StreamingMultiprocessor:
         #: scalar escape hatch (REPRO_SCALAR_PIPELINE=1): per-line
         #: translate/lookup instead of the batch entry points
         self._scalar = scalar_pipeline_enabled()
-        self._prof = PROFILER
         # per-access latencies are fixed; convert to ticks once
         self._l1_ticks = clock.cycles_to_ticks(l1_latency_cycles)
         self._cycle_ticks = clock.cycles_to_ticks(1)
@@ -181,13 +179,13 @@ class StreamingMultiprocessor:
 
         The fused path is only a call-graph flattening of the reference
         composition (coalesce_op → translate_batch → lookup → port); any
-        observation hook that needs the layered entry points (profiler
-        sections, tracing, load recording, prefetching, the scalar
-        pipeline escape hatch, a direct-store detector TLB) forces the
-        reference methods for the whole launch.
+        observation hook that needs the layered entry points (tracing,
+        load recording, prefetching, the scalar pipeline escape hatch, a
+        direct-store detector TLB) forces the reference methods for the
+        whole launch.
         """
-        self._fast = (not self._scalar and not self._prof.enabled
-                      and not TRACER.enabled and not self.record_loads
+        self._fast = (not self._scalar and not TRACER.enabled
+                      and not self.record_loads
                       and self.prefetcher is None
                       and not self.mmu.tlb.detector_enabled)
         if self._fast:
@@ -387,39 +385,24 @@ class StreamingMultiprocessor:
         per-line translate calls.  Both produce identical addresses and
         statistics.
         """
-        prof = self._prof
-        profiling = prof.enabled
-        if profiling:
-            prof.start("coalescer")
         lines = self.coalescer.coalesce_op(op)
-        if profiling:
-            prof.stop()
-            prof.start("tlb")
         if self._scalar:
             translate = self.mmu.translate
             pas = [translate(line_va, is_store=is_store).physical_address
                    for line_va in lines]
         else:
             pas = self.mmu.translate_batch(lines, is_store=is_store)
-        if profiling:
-            prof.stop()
         return lines, pas
 
     def _execute_load(self, warp: _Warp, op: WarpOp, now: int) -> None:
         warp.ready_tick = now + self._l1_ticks
         issue_tick = now
         lines, pas = self._coalesce_and_translate(op, is_store=False)
-        prof = self._prof
-        profiling = prof.enabled
-        if profiling:
-            prof.start("cache")
         if len(lines) > 1 and not self._scalar:
             resident = self.l1.lookup_batch(pas)
         else:
             l1_lookup = self.l1.lookup
             resident = [l1_lookup(pa) for pa in pas]
-        if profiling:
-            prof.stop()
         for line_va, pa, line in zip(lines, pas, resident):
             if line is not None:
                 if self.record_loads:
@@ -506,8 +489,8 @@ class StreamingMultiprocessor:
     # ------------------------------------------------------------------
     #
     # _fused_load/_fused_store replay _execute_load/_execute_store with
-    # the per-op layers (coalesce_op, translate_batch/resolve_one, the
-    # profiler bracketing) inlined for the dominant fully-coalesced
+    # the per-op layers (coalesce_op, translate_batch/resolve_one)
+    # inlined for the dominant fully-coalesced
     # single-line op.  Every counter, LRU motion, and event posting is
     # made in the same order as the reference composition, so the two
     # paths are bit-identical; _prepare_fast picks per launch.
@@ -613,10 +596,6 @@ class StreamingMultiprocessor:
 
     def _install_l1(self, physical_address: int) -> None:
         """Copy the slice-resident line up into the SM's L1."""
-        prof = self._prof
-        profiling = prof.enabled
-        if profiling:
-            prof.start("cache")
         if self.l1.probe(physical_address) is None:
             l2_line = self._slice_probe[
                 self.slice_router(physical_address)](physical_address)
@@ -625,8 +604,6 @@ class StreamingMultiprocessor:
                 data = dict(l2_line.data)
             self.l1.fill(physical_address, "V", self.queue.current_tick,
                          data)
-        if profiling:
-            prof.stop()
 
     def _record_line_values(self, op: WarpOp, line_va: int,
                             data: Optional[dict]) -> None:

@@ -18,7 +18,6 @@ from repro.engine.clock import ClockDomain
 from repro.interconnect.link import Link
 from repro.interconnect.message import MessageClass, NetworkMessage
 from repro.telemetry.tracer import TRACER
-from repro.utils.profiler import PROFILER
 from repro.utils.statistics import StatsRegistry
 
 
@@ -121,17 +120,11 @@ class Crossbar(Network):
             raise KeyError(f"{self.name}: unknown source {message.src!r}")
         if message.dst not in self._ingress:
             raise KeyError(f"{self.name}: unknown dest {message.dst!r}")
-        prof = PROFILER
-        profiling = prof.enabled
-        if profiling:
-            prof.start("network")
         self._account(message)
         size = message.size_bytes(self.line_size)
         vnet = message.msg_class.virtual_network
         at_switch = self._egress[message.src][vnet].send(size, now_tick)
         arrival = self._ingress[message.dst][vnet].send(size, at_switch)
-        if profiling:
-            prof.stop()
         if TRACER.enabled:
             TRACER.span(
                 "network", message.msg_class.name.lower(), now_tick,
@@ -154,16 +147,10 @@ class Crossbar(Network):
         if ingress is None:
             raise KeyError(f"{self.name}: unknown dest {dst!r}")
         size, vnet, label = self._wire[msg_class]
-        prof = PROFILER
-        profiling = prof.enabled
-        if profiling:
-            prof.start("network")
         self._messages.value += 1
         self._bytes.value += size
         at_switch = egress[vnet].send(size, now_tick)
         arrival = ingress[vnet].send(size, at_switch)
-        if profiling:
-            prof.stop()
         if TRACER.enabled:
             TRACER.span(
                 "network", label, now_tick, arrival, track=self.name,

@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence
 from repro.engine.clock import ClockDomain
 from repro.telemetry.tracer import TRACER
 from repro.utils.bitops import is_power_of_two, log2_exact
-from repro.utils.profiler import PROFILER
 from repro.utils.statistics import StatsRegistry
 
 
@@ -112,10 +111,6 @@ class DramModel:
             raise ValueError(
                 f"{self.name}: address {address:#x} outside "
                 f"{self._size_bytes:#x}-byte DRAM")
-        prof = PROFILER
-        profiling = prof.enabled
-        if profiling:
-            prof.start("dram")
         (self._writes if is_write else self._reads).value += 1
         row_local = address >> self._row_bits
         bank = row_local & self._bank_mask
@@ -138,8 +133,6 @@ class DramModel:
             outcome = "row_miss"
         self._bank_open_row[bank] = row
         self._bank_ready[bank] = ready + self._burst_ticks
-        if profiling:
-            prof.stop()
         if TRACER.enabled:
             TRACER.span(
                 "dram", outcome, now_tick, ready, track=self.name,

@@ -14,8 +14,8 @@ filter) reconstructs a job's whole story across components.  HTTP
 access records carry the same id whenever the route names a job.
 
 Logging is **off by default** and adds one attribute read per call
-site when disabled — the same guard discipline as the tracer and the
-profiler.  Enable with the ``REPRO_LOG`` environment variable
+site when disabled — the same guard discipline as the telemetry
+tracer.  Enable with the ``REPRO_LOG`` environment variable
 (``json`` or ``text``; anything else/empty is off) or programmatically
 via :func:`configure` (the ``repro serve --log-json`` flag does the
 latter).  Defaults change nothing observable: simulation results stay

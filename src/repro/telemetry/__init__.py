@@ -1,7 +1,7 @@
 """Simulation telemetry: tick-time tracing, interval sampling, exports.
 
 Three complementary instruments, all keyed on **simulated ticks** (the
-wall-time profiler in :mod:`repro.utils.profiler` answers "where does the
+sampling profiler in :mod:`repro.utils.profiler` answers "where does the
 host spend its seconds"; this package answers "when does the simulated
 machine do what"):
 
@@ -16,8 +16,8 @@ machine do what"):
   Perfetto / ``chrome://tracing``), JSONL dumps, and terminal summaries.
 
 Everything is zero-overhead when off: hot paths guard on
-``TRACER.enabled`` (one attribute read, same pattern as ``PROFILER``)
-and the sampler only exists when a sampling interval was requested.
+``TRACER.enabled`` (one attribute read) and the sampler only exists
+when a sampling interval was requested.
 """
 
 from repro.telemetry.export import (

@@ -4,8 +4,7 @@ A :class:`Tracer` collects typed, categorized events stamped with
 simulated ticks.  Components emit through the process-wide
 :data:`TRACER` instance and guard every call site with
 ``TRACER.enabled`` so a disabled tracer costs one attribute read on the
-hot path — the same discipline :data:`~repro.utils.profiler.PROFILER`
-uses for wall time.
+hot path.
 
 Two event shapes cover everything the exporters need:
 
@@ -16,8 +15,7 @@ Two event shapes cover everything the exporters need:
 
 The buffer is bounded: past ``capacity`` events the tracer counts drops
 instead of growing without bound, and every exporter reports the dropped
-count so truncated history is never silent (the fix the old
-:class:`~repro.coherence.tracer.ProtocolTracer` ring buffer needed).
+count so truncated history is never silent.
 """
 
 from __future__ import annotations
@@ -152,31 +150,6 @@ class Tracer:
     def for_category(self, category: str) -> List[TraceEvent]:
         return [event for event in self.events
                 if event.category == category]
-
-    def ingest_protocol(self, protocol_tracer) -> int:
-        """Convert a :class:`~repro.coherence.tracer.ProtocolTracer` log.
-
-        Every recorded state transition becomes a ``coherence``-category
-        instant event, and the protocol tracer's dropped count is folded
-        into this tracer's so exports report the full loss.  Returns the
-        number of events ingested.  (The live engine emits coherence
-        events directly; this bridge serves standalone ``ProtocolTracer``
-        users — see ``examples/protocol_trace.py``.)
-        """
-        ingested = 0
-        for transition in protocol_tracer.events:
-            if len(self.events) >= self.capacity:
-                self.dropped += 1
-                continue
-            self.events.append(TraceEvent(
-                transition.tick, 0, "coherence", transition.event,
-                transition.agent,
-                {"line": transition.line_address,
-                 "from": transition.old_state,
-                 "to": transition.new_state}))
-            ingested += 1
-        self.dropped += protocol_tracer.dropped
-        return ingested
 
     def __len__(self) -> int:
         return len(self.events)

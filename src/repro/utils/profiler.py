@@ -1,122 +1,195 @@
-"""Per-component wall-time profiler for the simulator host process.
+"""A sampling host-time profiler that splits CPU time across layers.
 
-Attributes host (wall) time to named sections — coalescer, TLB, cache,
-protocol (the Hammer walk), protocol_table (the batched kernel's
-table-driven probe pass), mshr (in-flight/merge checks), dram (bank/row
-timing), network (crossbar link booking), engine, trace build — so a
-perf PR's win is measurable inside the simulator rather than only
-through ``tools/bench_harness.py``.
+``signal.setitimer(ITIMER_PROF)`` interrupts the process every
+:data:`SAMPLE_INTERVAL_S` of CPU time (the kernel rounds the interval up
+to its tick: on a 250 Hz kernel a sample stands for 4 ms, so a layer's
+seconds are estimated as its share of the measured CPU time, not as
+samples times the interval).  The ``SIGPROF`` handler walks
+outward from the interrupted frame to the first frame whose module is
+in :data:`MODULE_LAYER` and charges one sample to that layer.  Frames of
+other modules (the stdlib, ``enum`` descriptors, ...) fall through to
+their callers; a sample with no mapped frame at all counts as
+``other``.  The two fused modules flatten several layers into one
+function each, so they alone may refine the module's layer per function
+(:data:`FUNCTION_LAYER`).
 
-Sections nest: time spent inside an inner section is attributed to the
-inner section only (*self time*), so the report's seconds column sums to
-the total profiled time instead of double-counting.  The profiler is
-opt-in (``--profile`` on the CLI, or ``REPRO_PROFILE=1`` in the
-environment); hot paths guard their ``start``/``stop`` calls behind
-``PROFILER.enabled`` so a disabled profiler costs one attribute read.
+Nothing in the simulator knows the profiler exists: a profiled run
+executes exactly the code an unprofiled run executes, and only the
+handler's own cost (a short frame walk per sample) is added.
 
 Usage::
 
-    from repro.utils.profiler import PROFILER
+    from repro.utils.profiler import SamplingProfiler
 
-    prof = PROFILER
-    if prof.enabled:
-        prof.start("coalescer")
-    lines = coalescer.coalesce_op(op)
-    if prof.enabled:
-        prof.stop()
+    with SamplingProfiler() as profiler:
+        run_benchmark("KM", "small", CoherenceMode.CCSM)
+    print(profiler.report())
 
-or, off the hot path, ``with PROFILER.section("trace_build"): ...``.
+Entering the same profiler again accumulates into the same counts.
 """
 
 from __future__ import annotations
 
-import os
+import signal
+import threading
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List
+from typing import Dict, Optional, Tuple
 
-#: environment variable that enables profiling for every run in a process
-PROFILE_ENV = "REPRO_PROFILE"
+#: CPU seconds between samples (the ITIMER_PROF interval)
+SAMPLE_INTERVAL_S = 0.001
+
+#: layer charged when no frame of the sample maps to a layer
+OTHER = "other"
+
+#: module -> host-time layer
+MODULE_LAYER: Dict[str, str] = {
+    "repro.engine.simulator": "engine",
+    "repro.engine.event": "engine",
+    "repro.engine.clock": "engine",
+    "repro.gpu.sm": "warp",
+    "repro.gpu.gpu": "warp",
+    "repro.gpu.coalescer": "coalescer",
+    "repro.vm.mmu": "tlb",
+    "repro.vm.tlb": "tlb",
+    "repro.vm.pagetable": "tlb",
+    "repro.vm.mmap": "tlb",
+    "repro.mem.cache": "cache",
+    "repro.mem.cacheline": "cache",
+    "repro.mem.replacement": "cache",
+    "repro.mem.address": "cache",
+    "repro.gpu.prefetch": "cache",
+    "repro.mem.mshr": "mshr",
+    "repro.mem.writebuffer": "mshr",
+    "repro.coherence.port": "protocol",
+    "repro.coherence.batch_kernel": "protocol",
+    "repro.coherence.hammer": "protocol",
+    "repro.coherence.protocol_table": "protocol",
+    "repro.coherence.states": "protocol",
+    "repro.coherence.messages": "protocol",
+    "repro.mem.dram": "dram",
+    "repro.mem.memimage": "dram",
+    "repro.interconnect.network": "network",
+    "repro.interconnect.direct_network": "network",
+    "repro.interconnect.link": "network",
+    "repro.interconnect.message": "network",
+    "repro.cpu.core": "cpu",
+    "repro.cpu.hierarchy": "cpu",
+    "repro.workloads.base": "trace_build",
+    "repro.workloads.trace": "trace_build",
+    "repro.workloads.patterns": "trace_build",
+    "repro.workloads.graphs": "trace_build",
+    "repro.workloads.misc": "trace_build",
+    "repro.workloads.pannotia": "trace_build",
+    "repro.workloads.parboil": "trace_build",
+    "repro.workloads.rodinia": "trace_build",
+    "repro.workloads.sdk": "trace_build",
+    "repro.workloads.synthetic": "trace_build",
+    "repro.workloads.suite": "trace_build",
+    "repro.core.system": "system",
+    "repro.core.config": "system",
+    "repro.core.direct_store": "system",
+    "repro.core.regions": "system",
+    "repro.core.metrics": "system",
+    "repro.core.program": "system",
+    "repro.harness.runner": "system",
+    "repro.utils.statistics": "stats",
+    "repro.utils.pipeline": "system",
+    "repro.telemetry.tracer": "telemetry",
+    "repro.telemetry.sampler": "telemetry",
+    "repro.telemetry.settings": "telemetry",
+    # the profiler's own enter/exit, should a sample land there
+    __name__: OTHER,
+}
+
+#: (module, function) -> layer, for the two fused modules only
+FUNCTION_LAYER: Dict[Tuple[str, str], str] = {
+    ("repro.gpu.sm", "_translate_line"): "tlb",
+    ("repro.gpu.sm", "_install_l1"): "cache",
+    ("repro.coherence.batch_kernel", "_load_hit"): "cache",
+    ("repro.coherence.batch_kernel", "_store_hit"): "cache",
+    ("repro.coherence.batch_kernel", "_write_word"): "cache",
+}
 
 
-class Profiler:
-    """A stack-based section timer with self-time attribution."""
+class SamplingProfiler:
+    """Count ``SIGPROF`` samples per layer while the context is entered."""
 
     def __init__(self) -> None:
-        self.enabled = False
-        #: per-section exclusive (self) seconds
-        self.self_seconds: Dict[str, float] = {}
-        #: per-section entry counts
-        self.calls: Dict[str, int] = {}
-        # stack entries are [name, start_time, child_seconds]
-        self._stack: List[list] = []
+        #: layer -> samples
+        self.samples: Dict[str, int] = {}
+        #: unmapped ``repro.*`` module -> samples that passed through it
+        #: (those samples were charged to a caller's layer)
+        self.unmapped: Dict[str, int] = {}
+        #: process CPU seconds spent inside the context
+        self.cpu_seconds = 0.0
+        self._saved: Optional[tuple] = None
 
-    # ------------------------------------------------------------------
+    def __enter__(self) -> "SamplingProfiler":
+        if not hasattr(signal, "setitimer"):
+            raise RuntimeError(
+                "the sampling profiler needs signal.setitimer "
+                "(POSIX only)")
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError(
+                "the sampling profiler must be entered from the main "
+                "thread (SIGPROF handlers run there only)")
+        if self._saved is not None:
+            raise RuntimeError("the sampling profiler is already running")
+        handler = signal.signal(signal.SIGPROF, self._on_sample)
+        timer = signal.setitimer(signal.ITIMER_PROF, SAMPLE_INTERVAL_S,
+                                 SAMPLE_INTERVAL_S)
+        self._saved = (handler, timer, time.process_time())
+        return self
 
-    def enable(self) -> None:
-        self.enabled = True
+    def __exit__(self, *exc_info) -> None:
+        handler, (delay, interval), started = self._saved
+        self._saved = None
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        self.cpu_seconds += time.process_time() - started
+        signal.signal(signal.SIGPROF,
+                      signal.SIG_DFL if handler is None else handler)
+        if delay or interval:
+            signal.setitimer(signal.ITIMER_PROF, delay, interval)
 
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        """Drop all recorded times (the enabled flag is untouched)."""
-        self.self_seconds.clear()
-        self.calls.clear()
-        self._stack.clear()
-
-    # ------------------------------------------------------------------
-
-    def start(self, name: str) -> None:
-        """Enter section *name*; no-op while disabled."""
-        if not self.enabled:
-            return
-        self._stack.append([name, time.perf_counter(), 0.0])
-
-    def stop(self) -> None:
-        """Leave the innermost open section; no-op while disabled."""
-        if not self.enabled or not self._stack:
-            return
-        name, started, child = self._stack.pop()
-        elapsed = time.perf_counter() - started
-        self.self_seconds[name] = (self.self_seconds.get(name, 0.0)
-                                   + elapsed - child)
-        self.calls[name] = self.calls.get(name, 0) + 1
-        if self._stack:
-            self._stack[-1][2] += elapsed
-
-    @contextmanager
-    def section(self, name: str) -> Iterator[None]:
-        """``with PROFILER.section("trace_build"): ...``"""
-        self.start(name)
-        try:
-            yield
-        finally:
-            self.stop()
+    def _on_sample(self, _signum, frame) -> None:
+        unmapped = None
+        layer = OTHER
+        while frame is not None:
+            module = frame.f_globals.get("__name__", "")
+            mapped = MODULE_LAYER.get(module)
+            if mapped is not None:
+                layer = FUNCTION_LAYER.get((module, frame.f_code.co_name),
+                                           mapped)
+                break
+            if unmapped is None and module.startswith("repro."):
+                unmapped = module
+            frame = frame.f_back
+        self.samples[layer] = self.samples.get(layer, 0) + 1
+        if unmapped is not None:
+            self.unmapped[unmapped] = self.unmapped.get(unmapped, 0) + 1
 
     # ------------------------------------------------------------------
 
     @property
-    def total_seconds(self) -> float:
-        return sum(self.self_seconds.values())
+    def total_samples(self) -> int:
+        return sum(self.samples.values())
+
+    def shares(self) -> Dict[str, float]:
+        """``{layer: percent of samples}``, largest first."""
+        total = self.total_samples
+        return {layer: count * 100.0 / total
+                for layer, count in sorted(self.samples.items(),
+                                           key=lambda kv: -kv[1])}
 
     def report(self) -> str:
-        """A fixed-width table of sections, sorted by self time."""
-        total = self.total_seconds
-        rows = sorted(self.self_seconds.items(), key=lambda kv: -kv[1])
-        lines = [f"{'section':<14} {'calls':>12} {'self s':>10} {'%':>7}"]
-        lines.append("-" * len(lines[0]))
-        for name, seconds in rows:
-            share = (seconds / total * 100.0) if total else 0.0
-            lines.append(f"{name:<14} {self.calls.get(name, 0):>12,} "
-                         f"{seconds:>10.3f} {share:>6.1f}%")
-        lines.append("-" * len(lines[0]))
-        lines.append(f"{'total':<14} {'':>12} {total:>10.3f}")
+        """A fixed-width table of layers, sorted by samples."""
+        header = f"{'layer':<12} {'samples':>9} {'est s':>9} {'%':>7}"
+        lines = [header, "-" * len(header)]
+        for layer, share in self.shares().items():
+            lines.append(f"{layer:<12} {self.samples[layer]:>9,} "
+                         f"{share / 100.0 * self.cpu_seconds:>9.3f} "
+                         f"{share:>6.1f}%")
+        lines.append("-" * len(header))
+        lines.append(f"{'total':<12} {self.total_samples:>9,} "
+                     f"{self.cpu_seconds:>9.3f}")
         return "\n".join(lines)
-
-
-#: the process-wide profiler instance every component shares
-PROFILER = Profiler()
-
-if os.environ.get(PROFILE_ENV, "") not in ("", "0"):
-    PROFILER.enable()

@@ -29,6 +29,20 @@ class TestRunCommands:
         out = capsys.readouterr().out
         assert "ccsm" in out and "Total ticks" in out
 
+    def test_run_profile_prints_layers_with_unchanged_ticks(self, capsys):
+        assert main(["run", "VA", "--mode", "ccsm"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["run", "VA", "--mode", "ccsm", "--profile"]) == 0
+        profiled = capsys.readouterr().out
+        ticks_row = next(line for line in plain.splitlines()
+                         if line.startswith("ccsm "))
+        assert ticks_row in profiled.splitlines()
+        assert "host-time profile" in profiled
+        header = next(line for line in profiled.splitlines()
+                      if line.startswith("layer "))
+        assert header.split() == ["layer", "samples", "est", "s", "%"]
+        assert "total" in profiled.splitlines()[-1]
+
     def test_run_unknown_code(self, capsys):
         assert main(["run", "ZZ"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err

@@ -20,7 +20,6 @@ import json
 
 import pytest
 
-from repro.coherence.tracer import ProtocolTracer
 from repro.core.config import SystemConfig
 from repro.core.metrics import RunResult
 from repro.core.protocol_mode import CoherenceMode
@@ -85,20 +84,9 @@ class TestTracer:
         tracer.clear()
         assert len(tracer) == 0 and tracer.dropped == 0
 
-    def test_ingest_protocol_tracer(self):
-        protocol = ProtocolTracer(capacity=3)
-        for tick in range(5):
-            protocol.record(tick, "cpu", 0x100, "Store", "S", "M")
-        tracer = Tracer()
-        assert tracer.ingest_protocol(protocol) == 3
-        event = tracer.events[0]
-        assert event.category == "coherence"
-        assert event.track == "cpu"
-        assert event.args == {"line": 0x100, "from": "S", "to": "M"}
-        # the protocol tracer's overflow is folded in, not lost
-        assert tracer.dropped == protocol.dropped == 2
-        trace = to_chrome_trace(tracer)
-        assert trace["otherData"]["dropped_events"] == 2
+    def test_invalid_capacity(self):
+        with pytest.raises(ValueError):
+            Tracer(capacity=0)
 
     def test_clock_binding(self):
         tracer = Tracer()

@@ -1,95 +1,125 @@
-"""Tests for the protocol tracer."""
+"""Coherence transitions as seen through the telemetry tracer.
+
+The Hammer engine emits one ``coherence`` instant per state transition,
+on the agent's track, with ``{line, from, to}`` args.
+"""
 
 import pytest
 
-from repro.coherence.tracer import ProtocolTracer, TransitionEvent
+from repro.telemetry import TRACER, timeline_summary
+from repro.telemetry.tracer import DEFAULT_CAPACITY
 from tests.test_hammer import GPU, build_system
 
 
-def traced_system():
+@pytest.fixture(autouse=True)
+def traced():
+    """The shared tracer is on and empty for each test, off afterwards."""
+    TRACER.clear()
+    TRACER.enable()
+    yield
+    TRACER.disable()
+    TRACER.clear()
+
+
+def transitions(name=None):
+    return [event for event in TRACER.for_category("coherence")
+            if name is None or event.name == name]
+
+
+def state_history(agent, line_address):
+    """[first from-state, then every to-state] of one line at one agent."""
+    events = [event for event in transitions()
+              if event.track == agent and event.args["line"] == line_address]
+    if not events:
+        return []
+    return [events[0].args["from"]] + [event.args["to"] for event in events]
+
+
+def store_three_lines():
     system = build_system()
-    tracer = ProtocolTracer()
-    system.tracer = tracer
-    return system, tracer
+    for index in range(3):
+        system.store("cpu", 0x1000 * (index + 1), index, index * 10 ** 6)
 
 
 class TestTracerMechanics:
     def test_capacity_bound(self):
-        tracer = ProtocolTracer(capacity=2)
-        for index in range(5):
-            tracer.record(index, "a", 0, "Load", "I", "S")
-        assert len(tracer) == 2
-        assert tracer.dropped == 3
-        assert "dropped" in tracer.format()
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            ProtocolTracer(capacity=0)
+        store_three_lines()
+        unbounded = len(TRACER)
+        assert unbounded > 2
+        TRACER.clear()
+        TRACER.configure(capacity=2)
+        try:
+            store_three_lines()
+            assert len(TRACER) == 2
+            assert TRACER.dropped == unbounded - 2
+            assert "(dropped)" in timeline_summary(TRACER)
+        finally:
+            TRACER.configure(capacity=DEFAULT_CAPACITY)
 
     def test_clear(self):
-        tracer = ProtocolTracer()
-        tracer.record(0, "a", 0, "Load", "I", "S")
-        tracer.clear()
-        assert len(tracer) == 0
-
-    def test_event_rendering(self):
-        event = TransitionEvent(100, "cpu", 0x1000, "Store", "I", "MM")
-        text = str(event)
-        assert "cpu" in text and "MM" in text and "0x00001000" in text
+        build_system().load("cpu", 0x1000, 0)
+        assert transitions()
+        TRACER.clear()
+        assert len(TRACER) == 0
+        assert TRACER.dropped == 0
 
 
 class TestTracedTransitions:
     def test_fill_traced(self):
-        system, tracer = traced_system()
+        system = build_system()
         system.load("cpu", 0x1000, 0)
-        fills = tracer.matching(lambda e: e.event == "Load(fill)")
+        fills = transitions("Load(fill)")
         assert len(fills) == 1
-        assert fills[0].old_state == "I" and fills[0].new_state == "M"
+        assert fills[0].args == {"line": 0x1000, "from": "I", "to": "M"}
 
     def test_remote_store_trace_sequence(self):
-        system, tracer = traced_system()
+        system = build_system()
         system.remote_store("cpu", GPU, 0x2000, 5, 0)
-        arrive = tracer.matching(
-            lambda e: e.event == "RemoteStoreArrive")
-        assert arrive[0].agent == GPU
-        assert arrive[0].old_state == "I"
-        assert arrive[0].new_state == "MM"
+        arrive = transitions("RemoteStoreArrive")
+        assert arrive[0].track == GPU
+        assert arrive[0].args["from"] == "I"
+        assert arrive[0].args["to"] == "MM"
 
     def test_probe_demotion_traced(self):
-        system, tracer = traced_system()
+        system = build_system()
         t = system.store("cpu", 0x3000, 1, 0).ready_tick
         system.load(GPU, 0x3000, t)
-        demotions = tracer.matching(lambda e: e.event == "ProbeGETS")
-        assert demotions[0].agent == "cpu"
-        assert demotions[0].old_state == "MM"
-        assert demotions[0].new_state == "O"
+        demotions = transitions("ProbeGETS")
+        assert demotions[0].track == "cpu"
+        assert demotions[0].args["from"] == "MM"
+        assert demotions[0].args["to"] == "O"
 
     def test_state_history_for_line(self):
-        system, tracer = traced_system()
+        system = build_system()
         t = system.store("cpu", 0x3000, 1, 0).ready_tick   # I -> MM
-        t = system.load(GPU, 0x3000, t).ready_tick         # cpu MM -> O
-        history = tracer.state_history("cpu", 0x3000)
-        assert history == ["I", "MM", "O"]
+        system.load(GPU, 0x3000, t)                        # cpu MM -> O
+        assert state_history("cpu", 0x3000) == ["I", "MM", "O"]
 
     def test_silent_upgrade_traced(self):
-        system, tracer = traced_system()
+        system = build_system()
         t = system.load("cpu", 0x1000, 0).ready_tick       # fills M
         system.store("cpu", 0x1000, 2, t)                  # silent M->MM
-        upgrades = tracer.matching(lambda e: e.event == "Store(silent)")
-        assert upgrades[0].old_state == "M"
-        assert upgrades[0].new_state == "MM"
+        upgrades = transitions("Store(silent)")
+        assert upgrades[0].args["from"] == "M"
+        assert upgrades[0].args["to"] == "MM"
 
     def test_for_line_and_for_agent_filters(self):
-        system, tracer = traced_system()
+        system = build_system()
         system.store("cpu", 0x1000, 1, 0)
         system.store("cpu", 0x2000, 2, 10 ** 6)
-        assert all(e.line_address == 0x1000
-                   for e in tracer.for_line(0x1000))
-        assert all(e.agent == "cpu" for e in tracer.for_agent("cpu"))
+        for_line = [event for event in transitions()
+                    if event.args["line"] == 0x1000]
+        for_agent = [event for event in transitions()
+                     if event.track == "cpu"]
+        assert [event.name for event in for_line] == ["Store(fill)"]
+        assert {event.args["line"] for event in for_agent} == {0x1000,
+                                                                0x2000}
 
     def test_tracer_never_affects_timing(self):
+        traced = build_system()
+        t_traced = traced.store("cpu", 0x1000, 1, 0).ready_tick
+        TRACER.disable()
         plain = build_system()
-        traced, _tracer = traced_system()
-        t1 = plain.store("cpu", 0x1000, 1, 0).ready_tick
-        t2 = traced.store("cpu", 0x1000, 1, 0).ready_tick
-        assert t1 == t2
+        t_plain = plain.store("cpu", 0x1000, 1, 0).ready_tick
+        assert transitions()
+        assert t_plain == t_traced

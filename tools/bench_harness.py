@@ -34,9 +34,9 @@ Usage::
     --service-code CODE    benchmark submitted through the job server
                            for the service section (default: VA)
     --skip-service         omit the service section
-    --profile-codes ...    codes run once per mode with the section
-                           profiler enabled; per-section self-times land
-                           in the record's ``profile`` section
+    --profile-codes ...    codes run once per mode under the sampling
+                           profiler; per-layer sample shares land in
+                           the record's ``profile`` section
                            (default: KM FW)
     --skip-profile         omit the profile section
     --explore-code CODE    benchmark run through the design-space
@@ -130,46 +130,34 @@ def bench_warp_pipeline(codes, input_size, repeats):
 
 
 def bench_profile(codes, input_size):
-    """Per-section self-time attribution for one profiled run per code.
+    """Per-layer host CPU shares for one sampled run per code.
 
-    Runs each benchmark once under CCSM and once under direct store with
-    the section profiler enabled and records every section's exclusive
-    seconds and entry counts — the attribution data the next
-    optimization round starts from.  Profiled runs take the layered
-    reference paths (observation hooks disable the fused fast paths), so
-    the absolute seconds are not comparable to the serial phase; the
-    *shares* are what matter.
+    Runs each benchmark once under CCSM and once under direct store
+    inside the sampling profiler and records every layer's sample count
+    and share of samples — the attribution data the next optimization
+    round starts from.  A sampled run executes the same code as an
+    unsampled one, so ``cpu_s`` is the CPU time of an ordinary run.
     """
-    from repro.utils.profiler import PROFILER
+    from repro.utils.profiler import SamplingProfiler
 
     section = {"input_size": input_size, "benchmarks": {}}
-    PROFILER.enable()
-    try:
-        for code in codes:
-            entry = {}
-            for mode in (CoherenceMode.CCSM, CoherenceMode.DIRECT_STORE):
-                PROFILER.reset()
-                start = time.perf_counter()
+    for code in codes:
+        entry = {}
+        for mode in (CoherenceMode.CCSM, CoherenceMode.DIRECT_STORE):
+            with SamplingProfiler() as profiler:
                 run_benchmark(code, input_size, mode)
-                elapsed = time.perf_counter() - start
-                names = sorted(PROFILER.self_seconds,
-                               key=lambda name: -PROFILER.self_seconds[name])
-                entry[mode.value] = {
-                    "total_s": round(elapsed, 3),
-                    "self_s": {name: round(PROFILER.self_seconds[name], 3)
-                               for name in names},
-                    "calls": {name: PROFILER.calls.get(name, 0)
-                              for name in names},
-                }
-            section["benchmarks"][code] = entry
-            top = next(iter(entry["ccsm"]["self_s"]), "-")
-            print(f"{'profile':14s} {code}: ccsm "
-                  f"{entry['ccsm']['total_s']}s, direct_store "
-                  f"{entry['direct_store']['total_s']}s "
-                  f"(top section: {top})", file=sys.stderr)
-    finally:
-        PROFILER.disable()
-        PROFILER.reset()
+            entry[mode.value] = {
+                "cpu_s": round(profiler.cpu_seconds, 3),
+                "samples": dict(profiler.samples),
+                "share_pct": {layer: round(share, 1) for layer, share
+                              in profiler.shares().items()},
+            }
+        section["benchmarks"][code] = entry
+        top = next(iter(entry["ccsm"]["share_pct"]), "-")
+        print(f"{'profile':14s} {code}: ccsm "
+              f"{entry['ccsm']['cpu_s']}s, direct_store "
+              f"{entry['direct_store']['cpu_s']}s "
+              f"(top layer: {top})", file=sys.stderr)
     return section
 
 
