@@ -7,23 +7,24 @@ A fully-coalesced access to consecutive 4-byte words touches exactly one
 classic GPU memory-divergence effect, which the Pannotia graph workloads
 exercise heavily.
 
-Three equivalent paths produce the line list (always distinct line
-addresses in first-lane order, with identical statistics):
+The line list is always the distinct line addresses in first-lane
+order, with identical statistics, whichever way it is produced:
 
 * **precompiled** — the workload builders attach the coalesce result to
   each op at trace build time (:meth:`coalesce_op` just records stats);
-* **NumPy batch** — ops carrying a NumPy lane row are masked and
-  deduplicated in one vectorized shot;
-* **scalar** — the per-lane Python loop, the reference implementation,
-  forced everywhere by ``REPRO_SCALAR_PIPELINE=1``.
+* **NumPy batch** — a NumPy lane row is masked and deduplicated in one
+  vectorized shot;
+* **per-lane loop** — plain lane lists (hand-built traces) are walked
+  in Python.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.utils.bitops import is_power_of_two
-from repro.utils.pipeline import np, scalar_pipeline_enabled
 from repro.utils.statistics import StatsRegistry
 from repro.workloads.trace import WarpOp
 
@@ -41,7 +42,6 @@ class Coalescer:
         # here instead of re-deriving it per lane per instruction
         self._offset_mask = line_size - 1
         self._line_mask = ~self._offset_mask
-        self._scalar = scalar_pipeline_enabled()
         self.stats = StatsRegistry(name)
         self._instructions = self.stats.counter("instructions")
         self._transactions = self.stats.counter("transactions")
@@ -57,8 +57,7 @@ class Coalescer:
         """Distinct line addresses touched, in first-lane order."""
         if len(lane_addresses) == 0:
             return []
-        if (not self._scalar and np is not None
-                and isinstance(lane_addresses, np.ndarray)):
+        if isinstance(lane_addresses, np.ndarray):
             line_array = lane_addresses & self._line_mask
             unique, first_index = np.unique(line_array, return_index=True)
             if len(unique) > 1:
@@ -81,12 +80,11 @@ class Coalescer:
         """Coalesce one memory op, using its precompiled lines if valid.
 
         Falls back to :meth:`coalesce` on the lane addresses whenever the
-        op was not precompiled for this line size (hand-built traces,
-        scalar-pipeline runs) — results and statistics are identical
-        either way.
+        op was not precompiled for this line size — results and
+        statistics are identical either way.
         """
         lines = op.lines
-        if self._scalar or lines is None or op.lines_size != self.line_size:
+        if lines is None or op.lines_size != self.line_size:
             return self.coalesce(op.addresses)
         if not lines:
             return lines

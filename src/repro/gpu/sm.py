@@ -8,8 +8,10 @@ resident warps, memory latency disappears from the bottom line, and when
 parallelism runs out (the paper's big-input BP/HT/LU/NW/FW discussion)
 it shows up in full.
 
-Memory path per coalesced line: GPU L1 (write-through, no-allocate on
-store) → the owning L2 slice's coherent port.
+Memory path per coalesced line: GPU TLB → GPU L1 (write-through,
+no-allocate on store) → the owning L2 slice's coherent port.  Every run
+takes the same path: tracing, load recording and the prefetcher are
+checks inside it, not a separate implementation.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from repro.engine.event import EventQueue
 from repro.gpu.coalescer import Coalescer
 from repro.mem.cache import SetAssociativeCache
 from repro.telemetry.tracer import TRACER
-from repro.utils.pipeline import scalar_pipeline_enabled
 from repro.utils.statistics import StatsRegistry
 from repro.vm.mmu import MMU
 from repro.workloads.trace import OpKind, WarpOp, WarpProgram
@@ -32,7 +33,7 @@ SliceRouter = Callable[[int], str]
 
 #: integer op codes for the precompiled issue loop (enum identity checks
 #: off the per-issue path); anything unknown maps to _K_OTHER and raises
-#: exactly where the reference dispatch would
+#: at issue
 _K_COMPUTE, _K_SHMEM, _K_LOAD, _K_STORE, _K_OTHER = 0, 1, 2, 3, 4
 
 #: warp ``gate`` value meaning "cannot issue": done, or blocked on loads.
@@ -127,9 +128,7 @@ class StreamingMultiprocessor:
         self.l1_latency_cycles = l1_latency_cycles
         self.shmem_latency_cycles = shmem_latency_cycles
         self.coalescer = Coalescer(f"{name}.coalescer", l1.line_size)
-        #: scalar escape hatch (REPRO_SCALAR_PIPELINE=1): per-line
-        #: translate/lookup instead of the batch entry points
-        self._scalar = scalar_pipeline_enabled()
+        self._line_size = l1.line_size
         # per-access latencies are fixed; convert to ticks once
         self._l1_ticks = clock.cycles_to_ticks(l1_latency_cycles)
         self._cycle_ticks = clock.cycles_to_ticks(1)
@@ -154,10 +153,6 @@ class StreamingMultiprocessor:
         self._outstanding_stores = 0
         self._on_done: Optional[Callable[[int], None]] = None
         self._active = False
-        # fast-path bindings (refreshed per launch; see _prepare_fast)
-        self._fast = False
-        self._do_load = self._execute_load
-        self._do_store = self._execute_store
         self._store_done_cb = self._store_done
         #: slice name → its L2 array's probe, resolved at first launch
         #: (agents register with the engine after ports are built)
@@ -174,31 +169,6 @@ class StreamingMultiprocessor:
         self._mmu_walk = mmu._walk_one
         self._page_size = mmu.page_table.page_size
 
-    def _prepare_fast(self) -> None:
-        """Choose fused vs reference memory-op execution for this launch.
-
-        The fused path is only a call-graph flattening of the reference
-        composition (coalesce_op → translate_batch → lookup → port); any
-        observation hook that needs the layered entry points (tracing,
-        load recording, prefetching, the scalar pipeline escape hatch, a
-        direct-store detector TLB) forces the reference methods for the
-        whole launch.
-        """
-        self._fast = (not self._scalar and not TRACER.enabled
-                      and not self.record_loads
-                      and self.prefetcher is None
-                      and not self.mmu.tlb.detector_enabled)
-        if self._fast:
-            self._do_load = self._fused_load
-            self._do_store = self._fused_store
-        else:
-            self._do_load = self._execute_load
-            self._do_store = self._execute_store
-        if self._slice_probe is None:
-            self._slice_probe = {
-                name: port.engine.agents[name].cache.probe
-                for name, port in self.slice_ports.items()}
-
     # ------------------------------------------------------------------
 
     def launch(self, programs: List[WarpProgram],
@@ -207,7 +177,10 @@ class StreamingMultiprocessor:
         if self._active:
             raise RuntimeError(f"{self.name}: kernel already active")
         self.l1.flash_invalidate()
-        self._prepare_fast()
+        if self._slice_probe is None:
+            self._slice_probe = {
+                name: port.engine.agents[name].cache.probe
+                for name, port in self.slice_ports.items()}
         period_ticks = self._period_ticks
         shmem_cycles = self.shmem_latency_cycles
         self._warps = [_Warp(program, period_ticks, shmem_cycles)
@@ -228,9 +201,6 @@ class StreamingMultiprocessor:
     # scheduler
     # ------------------------------------------------------------------
 
-    def _ready_warps_exist(self) -> bool:
-        return any(warp.gate < _GATE_BLOCKED for warp in self._warps)
-
     def _schedule_issue(self) -> None:
         if self._issue_scheduled or not self._active:
             return
@@ -248,10 +218,9 @@ class StreamingMultiprocessor:
 
     def _issue(self) -> None:
         # The scheduler's hottest event: pick, execute, and re-schedule
-        # are fused into one frame (identical decisions and event
-        # postings to the pick/_execute/_schedule_issue composition —
-        # the reference methods below stay as the spec and are used by
-        # the blocked-warp and launch paths).
+        # are fused into one frame (the same decisions and event
+        # postings as a pick / execute / _schedule_issue composition;
+        # _schedule_issue itself serves the fill and launch paths).
         self._issue_scheduled = False
         if not self._active:
             return
@@ -302,11 +271,11 @@ class StreamingMultiprocessor:
             else:
                 picked.gate = tick
         elif kind == _K_LOAD:
-            self._do_load(picked, picked.ops[pc], now)
+            self._load_op(picked, picked.ops[pc], now)
             if picked.done and picked.pending_loads == 0:
                 self._maybe_finish()
         elif kind == _K_STORE:
-            self._do_store(picked, picked.ops[pc], now)
+            self._store_op(picked, picked.ops[pc], now)
             if picked.done and picked.pending_loads == 0:
                 self._maybe_finish()
         else:
@@ -338,100 +307,87 @@ class StreamingMultiprocessor:
         self.queue.post_at(earliest if earliest > base else base,
                            self._issue)
 
-    def _pick_warp(self, now: int) -> Optional[_Warp]:
-        """Loose round-robin over warps ready to issue right now."""
-        warps = self._warps
-        count = len(warps)
-        index = self._rr_index
-        for _ in range(count):
-            warp = warps[index]
-            index += 1
-            if index == count:
-                index = 0
-            if warp.gate <= now:
-                self._rr_index = index
-                return warp
-        return None
-
     # ------------------------------------------------------------------
-    # op execution
+    # memory ops: coalesce → GPU TLB → L1 → L2-slice port
     # ------------------------------------------------------------------
+    #
+    # The per-op layers are inlined: precompiled lines are counted here
+    # instead of through Coalescer.coalesce_op, and a one-line op is
+    # translated by _translate_line instead of MMU.translate_batch.
+    # Every counter, LRU motion, and event posting is made in the order
+    # the layered composition would make it.  Ops without precompiled
+    # lines (hand-built traces) go through Coalescer.coalesce.
 
-    def _execute(self, warp: _Warp, op: WarpOp, now: int) -> None:
-        if op.kind is OpKind.COMPUTE:
-            warp.ready_tick = now + max(1, op.cycles) * self._period_ticks
-            warp.gate = _GATE_BLOCKED if warp.done else warp.ready_tick
-            return
-        if op.kind is OpKind.SHMEM:
-            # scratchpad work: fixed-latency pipe, no cache traffic
-            cycles = max(1, op.cycles) * self.shmem_latency_cycles
-            warp.ready_tick = now + cycles * self._period_ticks
-            warp.gate = _GATE_BLOCKED if warp.done else warp.ready_tick
-            return
-        if op.kind is OpKind.LOAD:
-            self._execute_load(warp, op, now)
-            return
-        if op.kind is OpKind.STORE:
-            self._execute_store(warp, op, now)
-            return
-        raise ValueError(f"{self.name}: warp op {op.kind} not executable")
+    def _translate_line(self, va: int, is_store: bool) -> int:
+        """Inlined MMU.translate_batch for a one-line op.
 
-    def _coalesce_and_translate(self, op: WarpOp, is_store: bool
-                                ) -> Tuple[List[int], List[int]]:
-        """(coalesced line VAs, translated line PAs) for one memory op.
-
-        The vectorized path consumes precompiled lines and the MMU's
-        batch entry point; the scalar escape hatch replays the original
-        per-line translate calls.  Both produce identical addresses and
-        statistics.
+        GPU TLBs carry no direct-store detector (the system builds them
+        with ``detector_enabled=False``), so none is consulted here.
         """
-        lines = self.coalescer.coalesce_op(op)
-        if self._scalar:
-            translate = self.mmu.translate
-            pas = [translate(line_va, is_store=is_store).physical_address
-                   for line_va in lines]
+        self._mmu_translations.value += 1
+        entries = self._tlb_entries
+        vpn = va // self._page_size
+        pfn = entries.get(vpn)
+        if pfn is None:
+            self._tlb_misses.value += 1
+            pfn = self._mmu_walk(va)
+            if len(entries) >= self._tlb_capacity:
+                entries.popitem(last=False)
+            entries[vpn] = pfn
         else:
-            pas = self.mmu.translate_batch(lines, is_store=is_store)
-        return lines, pas
+            self._tlb_hits.value += 1
+            entries.move_to_end(vpn)
+        return pfn * self._page_size + va % self._page_size
 
-    def _execute_load(self, warp: _Warp, op: WarpOp, now: int) -> None:
+    def _load_op(self, warp: _Warp, op: WarpOp, now: int) -> None:
         warp.ready_tick = now + self._l1_ticks
-        issue_tick = now
-        lines, pas = self._coalesce_and_translate(op, is_store=False)
-        if len(lines) > 1 and not self._scalar:
+        lines = op.lines
+        if lines is None or op.lines_size != self._line_size:
+            lines = self.coalescer.coalesce(op.addresses)
+            num_lines = len(lines)
+        else:
+            num_lines = len(lines)
+            if num_lines:  # an empty op counts nothing, as in coalesce_op
+                self._co_instr.value += 1
+                self._co_trans.value += num_lines
+                self._co_fanout.record(num_lines)
+        if num_lines == 1:
+            pas = (self._translate_line(lines[0], False),)
+            resident = (self.l1.lookup(pas[0]),)
+        elif num_lines:
+            pas = self.mmu.translate_batch(lines, is_store=False)
             resident = self.l1.lookup_batch(pas)
         else:
-            l1_lookup = self.l1.lookup
-            resident = [l1_lookup(pa) for pa in pas]
+            pas = resident = ()
+        record = self.record_loads
+        prefetcher = self.prefetcher
+        traced = TRACER.enabled
         for line_va, pa, line in zip(lines, pas, resident):
             if line is not None:
-                if self.record_loads:
+                if record:
                     self._record_line_values(op, line_va, line.data)
                 continue
             warp.pending_loads += 1
-            if self.prefetcher is not None:
-                self.prefetcher.on_demand_miss(pa, now)
+            if prefetcher is not None:
+                prefetcher.on_demand_miss(pa, now)
             port = self.slice_ports[self.slice_router(pa)]
 
-            def _on_fill(result: AccessResult, line_va: int = line_va,
-                         pa: int = pa) -> None:
+            def _on_fill(result: AccessResult, pa: int = pa,
+                         line_va: int = line_va) -> None:
                 self._install_l1(pa)
-                if self.record_loads:
-                    resident = self.l1.probe(pa)
+                if record:
+                    filled = self.l1.probe(pa)
                     self._record_line_values(
                         op, line_va,
-                        resident.data if resident is not None else None)
-                self._load_latency.record(
-                    self.queue.current_tick - issue_tick)
-                if TRACER.enabled:
-                    TRACER.span(
-                        "warp", "load_miss", issue_tick,
-                        self.queue.current_tick, track=self.name,
-                        args={"line": pa})
+                        filled.data if filled is not None else None)
+                tick = self.queue.current_tick
+                self._load_latency.record(tick - now)
+                if traced:
+                    TRACER.span("warp", "load_miss", now, tick,
+                                track=self.name, args={"line": pa})
                 warp.pending_loads -= 1
                 if warp.pending_loads == 0:
-                    warp.ready_tick = max(warp.ready_tick,
-                                          self.queue.current_tick)
+                    warp.ready_tick = max(warp.ready_tick, tick)
                     if warp.done:
                         self._maybe_finish()
                     else:
@@ -452,142 +408,42 @@ class StreamingMultiprocessor:
             self._store_fill_value = value
         return self._store_fill
 
-    def _execute_store(self, warp: _Warp, op: WarpOp, now: int) -> None:
-        # stores don't block the warp; the kernel drains them at the end
-        warp.ready_tick = now + self._cycle_ticks
-        lines, pas = self._coalesce_and_translate(op, is_store=True)
-        if len(lines) > 1 and not self._scalar:
-            residents = self.l1.probe_batch(pas)
-        else:
-            l1_probe = self.l1.probe
-            residents = [l1_probe(pa) for pa in pas]
-        for pa, resident in zip(pas, residents):
-            # write-through, no-allocate: update an existing L1 copy only
-            if resident is not None and op.value is not None:
-                if resident.data is None:
-                    resident.data = {}
-                # warp stores cover the whole coalesced line
-                resident.data.update(self._full_line_image(op.value))
-            port = self.slice_ports[self.slice_router(pa)]
-            self._outstanding_stores += 1
-
-            def _on_store_done(_result: AccessResult) -> None:
-                self._outstanding_stores -= 1
-                self._maybe_finish()
-
-            self._store_line(port, pa, op.value, _on_store_done)
-        warp.gate = _GATE_BLOCKED if warp.done else warp.ready_tick
-
-    def _store_line(self, port: CoherentPort, line_pa: int,
-                    value: Optional[int],
-                    callback: Callable[[AccessResult], None]) -> None:
-        """A warp store writes the full coalesced line at the L2."""
-        port.store(line_pa, value, callback)
-
-    # ------------------------------------------------------------------
-    # fused op execution (the observation-free fast path)
-    # ------------------------------------------------------------------
-    #
-    # _fused_load/_fused_store replay _execute_load/_execute_store with
-    # the per-op layers (coalesce_op, translate_batch/resolve_one)
-    # inlined for the dominant fully-coalesced
-    # single-line op.  Every counter, LRU motion, and event posting is
-    # made in the same order as the reference composition, so the two
-    # paths are bit-identical; _prepare_fast picks per launch.
-
-    def _translate_line(self, va: int, is_store: bool) -> int:
-        """Inlined MMU.translate_batch for a one-line op (GPU TLB)."""
-        self._mmu_translations.value += 1
-        entries = self._tlb_entries
-        vpn = va // self._page_size
-        pfn = entries.get(vpn)
-        if pfn is None:
-            self._tlb_misses.value += 1
-            pfn = self._mmu_walk(va)
-            if len(entries) >= self._tlb_capacity:
-                entries.popitem(last=False)
-            entries[vpn] = pfn
-        else:
-            self._tlb_hits.value += 1
-            entries.move_to_end(vpn)
-        return pfn * self._page_size + va % self._page_size
-
-    def _fused_load(self, warp: _Warp, op: WarpOp, now: int) -> None:
-        lines = op.lines
-        if lines is None or op.lines_size != self.coalescer.line_size:
-            self._execute_load(warp, op, now)
-            return
-        warp.ready_tick = now + self._l1_ticks
-        num_lines = len(lines)
-        self._co_instr.value += 1
-        self._co_trans.value += num_lines
-        self._co_fanout.record(num_lines)
-        if num_lines == 1:
-            pas = (self._translate_line(lines[0], False),)
-        else:
-            pas = self.mmu.translate_batch(lines, is_store=False)
-        if num_lines > 1:
-            resident = self.l1.lookup_batch(pas)
-        else:
-            resident = (self.l1.lookup(pas[0]),)
-        for pa, line in zip(pas, resident):
-            if line is not None:
-                continue
-            warp.pending_loads += 1
-            port = self.slice_ports[self.slice_router(pa)]
-
-            def _on_fill(result: AccessResult, pa: int = pa) -> None:
-                self._install_l1(pa)
-                self._load_latency.record(
-                    self.queue.current_tick - now)
-                warp.pending_loads -= 1
-                if warp.pending_loads == 0:
-                    warp.ready_tick = max(warp.ready_tick,
-                                          self.queue.current_tick)
-                    if warp.done:
-                        self._maybe_finish()
-                    else:
-                        warp.gate = warp.ready_tick
-                        self._schedule_issue()
-
-            port.load(pa, _on_fill)
-        if warp.pending_loads or warp.done:
-            warp.gate = _GATE_BLOCKED
-        else:
-            warp.gate = warp.ready_tick
-
     def _store_done(self, _result: AccessResult) -> None:
-        """Shared completion callback for fused warp stores."""
+        """Shared completion callback for warp stores."""
         self._outstanding_stores -= 1
         self._maybe_finish()
 
-    def _fused_store(self, warp: _Warp, op: WarpOp, now: int) -> None:
-        lines = op.lines
-        if lines is None or op.lines_size != self.coalescer.line_size:
-            self._execute_store(warp, op, now)
-            return
+    def _store_op(self, warp: _Warp, op: WarpOp, now: int) -> None:
+        # stores don't block the warp; the kernel drains them at the end
         warp.ready_tick = now + self._cycle_ticks
-        num_lines = len(lines)
-        self._co_instr.value += 1
-        self._co_trans.value += num_lines
-        self._co_fanout.record(num_lines)
+        lines = op.lines
+        if lines is None or op.lines_size != self._line_size:
+            lines = self.coalescer.coalesce(op.addresses)
+            num_lines = len(lines)
+        else:
+            num_lines = len(lines)
+            if num_lines:  # an empty op counts nothing, as in coalesce_op
+                self._co_instr.value += 1
+                self._co_trans.value += num_lines
+                self._co_fanout.record(num_lines)
         if num_lines == 1:
             pas = (self._translate_line(lines[0], True),)
-        else:
+            residents = (self.l1.probe(pas[0]),)
+        elif num_lines:
             pas = self.mmu.translate_batch(lines, is_store=True)
+            # all probes precede any store (a store's walk may
+            # back-invalidate a later line of this op)
+            residents = self.l1.probe_batch(pas)
+        else:
+            pas = residents = ()
         value = op.value
         store_done = self._store_done_cb
-        if num_lines == 1:
-            residents = (self.l1.probe(pas[0]),)
-        else:
-            # all probes precede any store, as in the reference path (a
-            # store's walk may back-invalidate a later line of this op)
-            residents = self.l1.probe_batch(pas)
         for pa, resident in zip(pas, residents):
             # write-through, no-allocate: update an existing L1 copy only
             if resident is not None and value is not None:
                 if resident.data is None:
                     resident.data = {}
+                # warp stores cover the whole coalesced line
                 resident.data.update(self._full_line_image(value))
             self._outstanding_stores += 1
             self.slice_ports[self.slice_router(pa)].store(

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.utils.bitops import bit_slice, is_power_of_two, log2_exact
-from repro.utils.pipeline import np
 
 
 class AddressLayout:
@@ -85,12 +86,8 @@ class AddressLayout:
 
         One NumPy shift/mask pass replaces per-address
         :meth:`set_index`/:meth:`tag` calls; results are plain int lists
-        ready for the Python tag scan.  Falls back to the scalar methods
-        without NumPy.
+        ready for the Python tag scan.
         """
-        if np is None:
-            return ([self.set_index(address) for address in addresses],
-                    [self.tag(address) for address in addresses])
         line_numbers = (np.asarray(addresses, dtype=np.int64)
                         >> self.line_shift)
         return ((line_numbers & self.index_mask).tolist(),

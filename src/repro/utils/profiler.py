@@ -93,7 +93,6 @@ MODULE_LAYER: Dict[str, str] = {
     "repro.core.program": "system",
     "repro.harness.runner": "system",
     "repro.utils.statistics": "stats",
-    "repro.utils.pipeline": "system",
     "repro.telemetry.tracer": "telemetry",
     "repro.telemetry.sampler": "telemetry",
     "repro.telemetry.settings": "telemetry",

@@ -14,6 +14,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from repro.workloads.trace import precompile_phases
+
 #: alloc(name, size_bytes, gpu_accessed) -> base virtual address
 AllocFn = Callable[[str, int, bool], int]
 
@@ -70,18 +72,11 @@ class Workload(ABC):
         This is the entry point the system uses: after :meth:`build`
         returns, every kernel memory op gets its coalesced line list
         attached for *ctx.line_size*
-        (:func:`repro.workloads.trace.precompile_phases`) so the SM's
-        vectorized pipeline never walks lanes in Python at issue time.
-        With ``REPRO_SCALAR_PIPELINE=1`` (or without NumPy) the
-        precompile pass is skipped and ops replay through the scalar
-        coalescer instead; results are bit-identical either way.
+        (:func:`repro.workloads.trace.precompile_phases`) so the SM
+        never walks lanes in Python at issue time.
         """
-        from repro.utils.pipeline import vectorize_enabled
-        from repro.workloads.trace import precompile_phases
-
         phases = self.build(ctx)
-        if vectorize_enabled():
-            precompile_phases(phases, ctx.line_size)
+        precompile_phases(phases, ctx.line_size)
         return phases
 
     def __repr__(self) -> str:

@@ -20,9 +20,7 @@ The GPU builders are NumPy-vectorized: each pattern computes one
 (ops × lanes) address matrix with broadcasting, emits ops whose
 ``addresses`` are contiguous row views into it, and precompiles every
 op's coalesced line list (:func:`repro.workloads.trace.coalesce_rows`)
-so the SM never walks lanes in Python at issue time.  With
-``REPRO_SCALAR_PIPELINE=1`` (or without NumPy) the original per-lane
-scalar builders run instead; both emit bit-identical address values.
+so the SM never walks lanes in Python at issue time.
 """
 
 from __future__ import annotations
@@ -30,7 +28,8 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence
 
-from repro.utils.pipeline import np, vectorize_enabled
+import numpy as np
+
 from repro.workloads.trace import (
     CpuOp,
     OpKind,
@@ -72,11 +71,6 @@ def cpu_consume(base: int, nbytes: int,
 # GPU-side patterns
 # ----------------------------------------------------------------------
 
-def _lane_addresses(line_base: int, lanes: int) -> List[int]:
-    """Lane addresses for one fully coalesced line access."""
-    return [line_base + lane * WORD for lane in range(lanes)]
-
-
 def _mem_op(row, is_store: bool, value: Optional[int],
             lines: List[int], line_size: int) -> WarpOp:
     """A load/store op over a matrix row with precompiled lines."""
@@ -106,11 +100,6 @@ def stream_warps(base: int, nbytes: int, num_warps: int,
     loop, fully coalesced.  *reuse* > 1 repeats the whole sweep (iterative
     kernels re-reading their input).
     """
-    if not vectorize_enabled():
-        return _stream_warps_scalar(base, nbytes, num_warps, lanes,
-                                    line_size, is_store, value,
-                                    compute_per_line, shmem_per_line,
-                                    reuse)
     num_lines = max(1, nbytes // line_size)
     matrix = _line_matrix(base, num_lines, lanes, line_size)
     lines_per_row = coalesce_rows(matrix, line_size)
@@ -133,30 +122,6 @@ def stream_warps(base: int, nbytes: int, num_warps: int,
     return programs
 
 
-def _stream_warps_scalar(base: int, nbytes: int, num_warps: int,
-                         lanes: int, line_size: int, is_store: bool,
-                         value: Optional[int], compute_per_line: int,
-                         shmem_per_line: int, reuse: int
-                         ) -> List[WarpProgram]:
-    """The original per-lane Python path (``REPRO_SCALAR_PIPELINE=1``)."""
-    num_lines = max(1, nbytes // line_size)
-    programs = [WarpProgram() for _ in range(num_warps)]
-    for _iteration in range(reuse):
-        for line_index in range(num_lines):
-            warp = programs[line_index % num_warps]
-            line_base = base + line_index * line_size
-            addresses = _lane_addresses(line_base, lanes)
-            if is_store:
-                warp.ops.append(WarpOp.store(addresses, value))
-            else:
-                warp.ops.append(WarpOp.load(addresses))
-            if compute_per_line:
-                warp.ops.append(WarpOp.compute(compute_per_line))
-            if shmem_per_line:
-                warp.ops.append(WarpOp.shmem(shmem_per_line))
-    return programs
-
-
 def strided_warps(base: int, nbytes: int, num_warps: int,
                   stride_lines: int, lanes: int = 32,
                   line_size: int = 128, is_store: bool = False,
@@ -171,29 +136,15 @@ def strided_warps(base: int, nbytes: int, num_warps: int,
     num_lines = max(1, nbytes // line_size)
     programs = [WarpProgram() for _ in range(num_warps)]
     accesses = max(1, num_lines // lanes)
-    if vectorize_enabled():
-        flat = np.arange(accesses * lanes, dtype=np.int64)
-        line_indices = (flat * stride_lines % num_lines).reshape(
-            accesses, lanes)
-        matrix = base + line_indices * line_size
-        lines_per_row = coalesce_rows(matrix, line_size)
-        for group in range(accesses):
-            warp = programs[group % num_warps]
-            warp.ops.append(_mem_op(matrix[group], is_store, value,
-                                    lines_per_row[group], line_size))
-            if compute_per_access:
-                warp.ops.append(WarpOp.compute(compute_per_access))
-        return programs
+    flat = np.arange(accesses * lanes, dtype=np.int64)
+    line_indices = (flat * stride_lines % num_lines).reshape(
+        accesses, lanes)
+    matrix = base + line_indices * line_size
+    lines_per_row = coalesce_rows(matrix, line_size)
     for group in range(accesses):
         warp = programs[group % num_warps]
-        addresses = []
-        for lane in range(lanes):
-            line_index = (group * lanes + lane) * stride_lines % num_lines
-            addresses.append(base + line_index * line_size)
-        if is_store:
-            warp.ops.append(WarpOp.store(addresses, value))
-        else:
-            warp.ops.append(WarpOp.load(addresses))
+        warp.ops.append(_mem_op(matrix[group], is_store, value,
+                                lines_per_row[group], line_size))
         if compute_per_access:
             warp.ops.append(WarpOp.compute(compute_per_access))
     return programs
@@ -211,30 +162,20 @@ def broadcast_warps(base: int, nbytes: int, num_warps: int,
     """
     num_lines = max(1, nbytes // line_size)
     programs = [WarpProgram() for _ in range(num_warps)]
-    if vectorize_enabled():
-        # one shared matrix: every warp re-reads the same rows/lines.
-        # Ops are immutable once built, so the whole sweep is created
-        # once and the op objects shared across warps and repeats.
-        matrix = _line_matrix(base, num_lines, lanes, line_size)
-        lines_per_row = coalesce_rows(matrix, line_size)
-        sweep: List[WarpOp] = []
-        for line_index in range(num_lines):
-            sweep.append(_mem_op(matrix[line_index], False, None,
-                                 lines_per_row[line_index], line_size))
-            if compute_per_line:
-                sweep.append(WarpOp.compute(compute_per_line))
-        for warp in programs:
-            for _repeat in range(repeats):
-                warp.ops.extend(sweep)
-        return programs
+    # one shared matrix: every warp re-reads the same rows/lines.
+    # Ops are immutable once built, so the whole sweep is created
+    # once and the op objects shared across warps and repeats.
+    matrix = _line_matrix(base, num_lines, lanes, line_size)
+    lines_per_row = coalesce_rows(matrix, line_size)
+    sweep: List[WarpOp] = []
+    for line_index in range(num_lines):
+        sweep.append(_mem_op(matrix[line_index], False, None,
+                             lines_per_row[line_index], line_size))
+        if compute_per_line:
+            sweep.append(WarpOp.compute(compute_per_line))
     for warp in programs:
         for _repeat in range(repeats):
-            for line_index in range(num_lines):
-                line_base = base + line_index * line_size
-                warp.ops.append(WarpOp.load(_lane_addresses(line_base,
-                                                            lanes)))
-                if compute_per_line:
-                    warp.ops.append(WarpOp.compute(compute_per_line))
+            warp.ops.extend(sweep)
     return programs
 
 
@@ -251,27 +192,18 @@ def gather_warps(base: int, nbytes: int, num_warps: int,
     """
     elements = max(1, nbytes // WORD)
     programs = [WarpProgram() for _ in range(num_warps)]
-    if vectorize_enabled():
-        flat = base + (np.asarray(indices, dtype=np.int64)
-                       % elements) * WORD
-        line_mask = ~(line_size - 1)
-        # one bulk conversion; per-group work is then pure list slicing
-        masked_list = (flat & line_mask).tolist()
-        for group_start in range(0, len(indices), lanes):
-            warp = programs[(group_start // lanes) % num_warps]
-            row = flat[group_start:group_start + lanes]
-            lines = list(dict.fromkeys(
-                masked_list[group_start:group_start + lanes]))
-            warp.ops.append(WarpOp(OpKind.LOAD, addresses=row,
-                                   lines=lines, lines_size=line_size))
-            if compute_per_access:
-                warp.ops.append(WarpOp.compute(compute_per_access))
-        return programs
+    flat = base + (np.asarray(indices, dtype=np.int64)
+                   % elements) * WORD
+    line_mask = ~(line_size - 1)
+    # one bulk conversion; per-group work is then pure list slicing
+    masked_list = (flat & line_mask).tolist()
     for group_start in range(0, len(indices), lanes):
         warp = programs[(group_start // lanes) % num_warps]
-        group = indices[group_start:group_start + lanes]
-        addresses = [base + (index % elements) * WORD for index in group]
-        warp.ops.append(WarpOp.load(addresses))
+        row = flat[group_start:group_start + lanes]
+        lines = list(dict.fromkeys(
+            masked_list[group_start:group_start + lanes]))
+        warp.ops.append(WarpOp(OpKind.LOAD, addresses=row,
+                               lines=lines, lines_size=line_size))
         if compute_per_access:
             warp.ops.append(WarpOp.compute(compute_per_access))
     return programs

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
-from repro.utils.pipeline import HAVE_NUMPY, np
+import numpy as np
 
 
 class OpKind(Enum):
@@ -111,7 +111,7 @@ def coalesce_addresses(lane_addresses: Sequence[int],
                        line_size: int) -> List[int]:
     """Reference coalescing: distinct line addresses, first-lane order.
 
-    This is the semantic contract every coalescing path (scalar loop,
+    This is the semantic contract every coalescing path (per-lane loop,
     NumPy batch, precompiled lines) must reproduce exactly.
     """
     line_mask = ~(line_size - 1)
@@ -147,7 +147,7 @@ def precompile_op(op: WarpOp, line_size: int) -> None:
     if op.kind not in _MEMORY_KINDS or op.lines_size == line_size:
         return
     addresses = op.addresses
-    if HAVE_NUMPY and isinstance(addresses, np.ndarray):
+    if isinstance(addresses, np.ndarray):
         masked = addresses & ~(line_size - 1)
         op.lines = list(dict.fromkeys(masked.tolist()))
     else:
@@ -203,9 +203,9 @@ Phase = object
 def precompile_phases(phases: Sequence[object], line_size: int) -> None:
     """Precompile coalesced lines for every kernel in a phase list.
 
-    Called by the system before execution (when the vectorized pipeline
-    is active) so kernels built by hand — without the vectorized pattern
-    helpers — still skip the per-lane coalescing loop at issue time.
+    Called by the system before execution so kernels built by hand —
+    without the vectorized pattern helpers — still skip the per-lane
+    coalescing loop at issue time.
     """
     for phase in phases:
         if isinstance(phase, KernelLaunch):

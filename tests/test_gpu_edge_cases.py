@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.protocol_mode import CoherenceMode
 from repro.core.system import IntegratedSystem
+from repro.telemetry import TRACER, TelemetrySettings
 from repro.workloads.base import Workload
 from repro.workloads.trace import (
     KernelLaunch,
@@ -26,9 +27,9 @@ class _Kernel(Workload):
         return [KernelLaunch("k", self._warps_builder(self.base))]
 
 
-def run(config, warps_builder, record=False):
+def run(config, warps_builder, record=False, telemetry=None):
     system = IntegratedSystem(config, CoherenceMode.CCSM,
-                              record_gpu_loads=record)
+                              record_gpu_loads=record, telemetry=telemetry)
     workload = _Kernel(warps_builder)
     return system, system.run(workload), workload
 
@@ -114,3 +115,31 @@ class TestLoadRecording:
 
         system, _result, _w = run(tiny_config, warps)
         assert system.sms[0].loaded_values == []
+
+
+class TestEmptyMemoryOps:
+    """A memory op with no lanes issues no line and counts nothing,
+    traced or not (as ``Coalescer.coalesce_op`` treats it)."""
+
+    @pytest.mark.parametrize("empty", ["load", "store"])
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    def test_empty_op_issues_nothing(self, tiny_config, empty, traced):
+        def warps(base):
+            op = WarpOp.load([]) if empty == "load" \
+                else WarpOp.store([], 1)
+            return [WarpProgram([WarpOp.load([base]), op,
+                                 WarpOp.compute(1)])]
+
+        telemetry = TelemetrySettings(trace=traced)
+        try:
+            system, result, _w = run(tiny_config, warps,
+                                     telemetry=telemetry)
+        finally:
+            TRACER.disable()
+            TRACER.clear()
+        stats = system.sms[0].coalescer.stats
+        assert stats.counter("instructions").value == 1
+        assert stats.counter("transactions").value == 1
+        assert result.gpu_l1.accesses == 1
+        assert result.gpu_l2.accesses == 1

@@ -1,22 +1,33 @@
-"""Equivalent simulation paths produce identical results.
+"""Simulation paths reproduce their oracles on real Table II points.
 
-Two fast paths each keep a reference implementation behind a knob:
-
-* the batched coherence kernel, against the layered per-message port
+* The batched coherence kernel against the layered per-message port
   path (``REPRO_BATCH_KERNEL=0``), on KM and FW under every coherence
-  mode;
-* the vectorized warp pipeline, against the scalar one
-  (``REPRO_SCALAR_PIPELINE=1``), on VA under CCSM.
+  mode: equal ``total_ticks`` and an equal full statistics dict.
+* The one shipping path against the committed record: VA, KM and FW
+  small under CCSM and direct store reproduce their
+  ``perfbench/reference.json`` signatures exactly.
 
-Every case runs a real Table II point both ways and requires equal
-``total_ticks`` and an equal full statistics dict.  Run alone with
-``python -m pytest -m smoke``.
+Run alone with ``python -m pytest -m smoke``.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core.protocol_mode import CoherenceMode
 from repro.harness.runner import run_benchmark
+
+# perfbench/suite.py is imported read-only, as perfbench/tests does
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                       / "perfbench"))
+from suite import (  # noqa: E402
+    BASE_CTX_SEED,
+    load_reference,
+    point_key,
+    run_point,
+    signature,
+)
 
 pytestmark = pytest.mark.smoke
 
@@ -45,6 +56,14 @@ def test_batch_kernel_matches_layered_path(monkeypatch, code, mode):
                                  "1", "0", code, mode))
 
 
-def test_vectorized_pipeline_matches_scalar(monkeypatch):
-    _assert_identical(*_run_both(monkeypatch, "REPRO_SCALAR_PIPELINE",
-                                 "0", "1", "VA", CoherenceMode.CCSM))
+def test_points_match_committed_reference():
+    reference = load_reference()
+    assert reference["ctx_seed"] == BASE_CTX_SEED
+    mismatched = []
+    for code in ("VA", "KM", "FW"):
+        for mode in (CoherenceMode.CCSM, CoherenceMode.DIRECT_STORE):
+            key = point_key(code, mode)
+            observed = signature(run_point(code, mode, BASE_CTX_SEED))
+            if observed != reference["points"][key]:
+                mismatched.append(key)
+    assert mismatched == []

@@ -130,7 +130,7 @@ class TestAttribution:
     def test_innermost_mapped_frame_wins(self):
         profiler = SamplingProfiler()
         sample(profiler, ("repro.mem.cache", "lookup"),
-               ("repro.gpu.sm", "_fused_load"),
+               ("repro.gpu.sm", "_load_op"),
                ("repro.engine.simulator", "_run"))
         assert profiler.samples == {"cache": 1}
 
@@ -161,7 +161,7 @@ class TestAttribution:
         sample(profiler, ("repro.coherence.batch_kernel", "_upgrade_fused"))
         sample(profiler, ("repro.gpu.sm", "_translate_line"))
         sample(profiler, ("repro.gpu.sm", "_issue"))
-        sample(profiler, ("repro.gpu.sm", "_pick_warp"))
+        sample(profiler, ("repro.gpu.sm", "_issue"))
         assert profiler.samples == {"cache": 2, "protocol": 2, "tlb": 1,
                                     "warp": 2}
 

@@ -4,8 +4,8 @@ The contract under test, in order of importance:
 
 1. **Transparency** — telemetry is pure observation.  With tracing and
    sampling enabled, a run's tick count and every committed statistic
-   are bit-identical to the same run with telemetry off (the same
-   equivalence discipline ``REPRO_SCALAR_PIPELINE`` gets).
+   are bit-identical to the same run with telemetry off; a traced run
+   executes the same SM code as an untraced one.
 2. **Export validity** — the Chrome trace-event JSON loads in Perfetto:
    monotonic integral timestamps, known phase codes, every tid named by
    a metadata event, and events from the major categories including the

@@ -1,9 +1,10 @@
 """End-to-end observation smoke checks on a real Table II point.
 
 * a traced ``repro run`` exports Chrome trace JSON that Perfetto loads;
-* tracing and interval sampling leave ticks and statistics untouched;
-* the sampling host-time profiler does too, and the GPU SMs keep their
-  fused fast path while it runs.
+* tracing and interval sampling leave ticks and statistics untouched,
+  and so does the sampling host-time profiler;
+* a traced run takes the one shipping SM path, which emits one
+  ``warp``/``load_miss`` span per recorded load-miss latency.
 
 Run alone with ``python -m pytest -m smoke``.
 """
@@ -13,11 +14,13 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.config import SystemConfig
 from repro.core.protocol_mode import CoherenceMode
-from repro.gpu.sm import StreamingMultiprocessor
+from repro.core.system import IntegratedSystem
 from repro.harness.runner import run_benchmark
 from repro.telemetry import TRACER, TelemetrySettings
 from repro.utils.profiler import SamplingProfiler
+from repro.workloads.suite import get_workload
 
 pytestmark = pytest.mark.smoke
 
@@ -74,19 +77,38 @@ def test_tracing_is_bit_identical(plain):
     assert_identical(plain, traced)
 
 
-def test_sampling_profiler_is_bit_identical_on_the_fast_path(
-        plain, monkeypatch):
-    launches = []
-    prepare_fast = StreamingMultiprocessor._prepare_fast
-
-    def recording_prepare_fast(sm):
-        prepare_fast(sm)
-        launches.append(sm._fast)
-
-    monkeypatch.setattr(StreamingMultiprocessor, "_prepare_fast",
-                        recording_prepare_fast)
+def test_sampling_profiler_is_bit_identical_on_the_fast_path(plain):
     with SamplingProfiler() as profiler:
         sampled = run_benchmark("VA", "small", CoherenceMode.DIRECT_STORE)
     assert profiler.total_samples > 0
-    assert launches and all(launches)
     assert_identical(plain, sampled)
+
+
+@pytest.mark.parametrize("mode", [CoherenceMode.CCSM,
+                                  CoherenceMode.DIRECT_STORE],
+                         ids=lambda mode: mode.value)
+def test_traced_km_is_bit_identical(mode):
+    untraced = run_benchmark("KM", "small", mode)
+    traced = run_benchmark("KM", "small", mode,
+                           telemetry=TelemetrySettings(trace=True))
+    assert len(TRACER) > 0, "tracer recorded nothing"
+    assert_identical(untraced, traced)
+
+
+@pytest.mark.parametrize("mode", [CoherenceMode.CCSM,
+                                  CoherenceMode.DIRECT_STORE],
+                         ids=lambda mode: mode.value)
+def test_one_load_miss_span_per_load_latency_sample(mode):
+    system = IntegratedSystem(SystemConfig(track_values=False), mode,
+                              telemetry=TelemetrySettings(trace=True))
+    system.run(get_workload("VA", "small"))
+    assert TRACER.dropped == 0
+    spans = {}
+    for event in TRACER.for_category("warp"):
+        if event.name == "load_miss":
+            spans[event.track] = spans.get(event.track, 0) + 1
+    samples = {sm.name: int(sm.stats.dump()[
+        f"{sm.name}.load_latency_ticks.samples"]) for sm in system.sms}
+    assert sum(samples.values()) > 0
+    assert spans == {name: count for name, count in samples.items()
+                     if count}

@@ -1,21 +1,30 @@
-"""Scalar-vs-vectorized warp-pipeline equivalence tests.
+"""Warp memory-pipeline equivalence tests.
 
-The vectorized pipeline (precompiled coalescing, batch translation,
-batch tag lookup) must be *bit-identical* to the scalar reference —
-same line lists, same statistics, same LRU motion, same end-to-end tick
-counts.  These tests drive both implementations over the same inputs,
-including the coalescer edge cases the issue calls out (empty lane
-list, all-one-line, fully-divergent fan-out, unaligned addresses) and
-a property-style randomized sweep with a fixed seed.
+Each batch entry point of the GPU memory pipeline must be
+*bit-identical* to its per-item contract — same line lists, same
+statistics, same LRU motion:
+
+* the coalescer's NumPy path (ndarray lanes) and its per-lane loop
+  (plain lane lists, the "scalar" side below) against
+  :func:`~repro.workloads.trace.coalesce_addresses`, including the edge
+  cases empty lane list, all-one-line, fully-divergent fan-out and
+  unaligned addresses, plus a property-style randomized sweep with a
+  fixed seed;
+* precompiled op lines against coalescing the lanes at issue time;
+* TLB/MMU/cache batch calls against per-address calls (the per-address
+  methods also serve the CPU side).
+
+End-to-end, the suite points are checked against the committed
+``perfbench/reference.json`` (``tests/test_path_equivalence.py``).
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.gpu.coalescer import Coalescer
 from repro.mem.cache import SetAssociativeCache
-from repro.utils.pipeline import HAVE_NUMPY, SCALAR_ENV, np
 from repro.vm.mmu import MMU
 from repro.vm.pagetable import PAGE_SIZE, PageTable, PhysicalFrameAllocator
 from repro.vm.tlb import TLB
@@ -28,14 +37,8 @@ from repro.workloads.trace import (
     precompile_op,
 )
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="NumPy not installed")
 
-
-def make_coalescer(monkeypatch, scalar: bool,
-                   line_size: int = 128) -> Coalescer:
-    """A coalescer constructed under the requested pipeline mode."""
-    monkeypatch.setenv(SCALAR_ENV, "1" if scalar else "")
+def make_coalescer(line_size: int = 128) -> Coalescer:
     return Coalescer("test.coalescer", line_size)
 
 
@@ -45,53 +48,50 @@ def coalescer_stats(coalescer: Coalescer):
 
 
 class TestCoalescerEdgeCases:
-    """The four edge cases, identical between pipeline modes."""
+    """The edge cases, identical for list and ndarray lanes."""
 
-    def both(self, monkeypatch, lanes):
-        scalar = make_coalescer(monkeypatch, scalar=True)
-        vectorized = make_coalescer(monkeypatch, scalar=False)
+    def both(self, lanes):
+        scalar = make_coalescer()
+        vectorized = make_coalescer()
         result_scalar = scalar.coalesce(list(lanes))
-        if HAVE_NUMPY:
-            vec_input = np.asarray(lanes, dtype=np.int64) if lanes \
-                else np.asarray([], dtype=np.int64)
-        else:
-            vec_input = list(lanes)
-        result_vec = vectorized.coalesce(vec_input)
-        assert result_scalar == result_vec
+        result_vec = vectorized.coalesce(np.asarray(lanes, dtype=np.int64))
+        assert result_scalar == result_vec == coalesce_addresses(lanes, 128)
         assert coalescer_stats(scalar) == coalescer_stats(vectorized)
         return result_scalar
 
-    def test_empty_lane_list(self, monkeypatch):
-        assert self.both(monkeypatch, []) == []
-        # an empty access records nothing in either mode
-        scalar = make_coalescer(monkeypatch, scalar=True)
-        scalar.coalesce([])
-        assert coalescer_stats(scalar) == (0, 0)
+    def test_empty_lane_list(self):
+        assert self.both([]) == []
+        # an empty access records nothing, precompiled or not
+        coalescer = make_coalescer()
+        coalescer.coalesce([])
+        op = WarpOp.load([])
+        precompile_op(op, 128)
+        assert coalescer.coalesce_op(op) == []
+        assert coalescer_stats(coalescer) == (0, 0)
 
-    def test_all_lanes_one_line(self, monkeypatch):
+    def test_all_lanes_one_line(self):
         lanes = [0x2000 + 4 * lane for lane in range(32)]
-        assert self.both(monkeypatch, lanes) == [0x2000]
+        assert self.both(lanes) == [0x2000]
 
-    def test_fully_divergent_fanout(self, monkeypatch):
+    def test_fully_divergent_fanout(self):
         lanes = [0x8000 + 128 * lane for lane in range(32)]
-        assert self.both(monkeypatch, lanes) == lanes
+        assert self.both(lanes) == lanes
 
-    def test_unaligned_addresses(self, monkeypatch):
+    def test_unaligned_addresses(self):
         lanes = [0x1003, 0x10FF, 0x1101, 0x2001, 0x1086]
-        assert self.both(monkeypatch, lanes) == [0x1000, 0x1080,
-                                                 0x1100, 0x2000]
+        assert self.both(lanes) == [0x1000, 0x1080, 0x1100, 0x2000]
 
-    def test_first_lane_order_preserved(self, monkeypatch):
+    def test_first_lane_order_preserved(self):
         # later lanes revisit earlier lines: order must follow first touch
         lanes = [0x3000, 0x5000, 0x3004, 0x1000, 0x5010]
-        assert self.both(monkeypatch, lanes) == [0x3000, 0x5000, 0x1000]
+        assert self.both(lanes) == [0x3000, 0x5000, 0x1000]
 
     def test_line_size_must_be_power_of_two(self):
         with pytest.raises(ValueError):
             Coalescer("bad", line_size=96)
 
-    def test_stats_count_instructions_and_transactions(self, monkeypatch):
-        coalescer = make_coalescer(monkeypatch, scalar=True)
+    def test_stats_count_instructions_and_transactions(self):
+        coalescer = make_coalescer()
         coalescer.coalesce([0x0, 0x80, 0x100])
         coalescer.coalesce([0x0, 0x4])
         assert coalescer_stats(coalescer) == (2, 4)
@@ -109,10 +109,9 @@ class TestCoalescerRandomized:
             span = rng.choice([1 << 10, 1 << 14, 1 << 20])
             yield [rng.randrange(span) for _ in range(count)]
 
-    @needs_numpy
-    def test_scalar_vectorized_and_reference_agree(self, monkeypatch):
-        scalar = make_coalescer(monkeypatch, scalar=True)
-        vectorized = make_coalescer(monkeypatch, scalar=False)
+    def test_scalar_vectorized_and_reference_agree(self):
+        scalar = make_coalescer()
+        vectorized = make_coalescer()
         for lanes in self.lane_lists():
             expected = coalesce_addresses(lanes, 128)
             assert scalar.coalesce(lanes) == expected
@@ -120,19 +119,17 @@ class TestCoalescerRandomized:
                 np.asarray(lanes, dtype=np.int64)) == expected
         assert coalescer_stats(scalar) == coalescer_stats(vectorized)
 
-    @needs_numpy
-    def test_precompiled_ops_match_scalar(self, monkeypatch):
-        scalar = make_coalescer(monkeypatch, scalar=True)
-        vectorized = make_coalescer(monkeypatch, scalar=False)
+    def test_precompiled_ops_match_scalar(self):
+        scalar = make_coalescer()
+        precompiled = make_coalescer()
         for lanes in self.lane_lists():
             op = WarpOp(OpKind.LOAD,
                         addresses=np.asarray(lanes, dtype=np.int64))
             precompile_op(op, 128)
             assert op.lines_size == 128
-            assert vectorized.coalesce_op(op) == scalar.coalesce(lanes)
-        assert coalescer_stats(scalar) == coalescer_stats(vectorized)
+            assert precompiled.coalesce_op(op) == scalar.coalesce(lanes)
+        assert coalescer_stats(scalar) == coalescer_stats(precompiled)
 
-    @needs_numpy
     def test_coalesce_rows_matches_reference(self):
         rng = random.Random(self.SEED)
         matrix = [[rng.randrange(1 << 16) for _ in range(32)]
@@ -299,20 +296,3 @@ class TestCacheBatch:
         assert probed[0] is probed[1] is not None
         assert probed[2] is None
         assert (cache.accesses, cache.hits, cache.misses) == before
-
-
-@needs_numpy
-class TestEndToEndEquivalence:
-    """Scalar and vectorized full runs are bit-identical (LV small)."""
-
-    def run_mode(self, monkeypatch, scalar: bool):
-        from repro.core.protocol_mode import CoherenceMode
-        from repro.harness.runner import run_benchmark
-        monkeypatch.setenv(SCALAR_ENV, "1" if scalar else "")
-        return run_benchmark("LV", "small", CoherenceMode.CCSM)
-
-    def test_ticks_and_stats_identical(self, monkeypatch):
-        scalar = self.run_mode(monkeypatch, scalar=True)
-        vectorized = self.run_mode(monkeypatch, scalar=False)
-        assert scalar.total_ticks == vectorized.total_ticks
-        assert scalar.stats == vectorized.stats

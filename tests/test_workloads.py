@@ -28,7 +28,12 @@ from repro.workloads.suite import (
     benchmark_codes,
     get_workload,
 )
-from repro.workloads.trace import CpuPhase, KernelLaunch, OpKind
+from repro.workloads.trace import (
+    CpuPhase,
+    KernelLaunch,
+    OpKind,
+    coalesce_addresses,
+)
 
 
 def make_ctx():
@@ -125,6 +130,43 @@ class TestGpuPatterns:
         woven = interleave_warp_programs(a, b)
         kinds = [op.kind for op in woven[0].ops]
         assert kinds == [OpKind.LOAD, OpKind.STORE] * 4
+
+    def test_builders_match_per_lane_loops(self):
+        """The NumPy builders emit the addresses of a per-lane loop,
+        with precompiled lines equal to coalescing those lanes."""
+        base, lanes, line, warps = 0x40000, 32, 128, 3
+
+        def expected(rows, warp_of):
+            programs = [[] for _ in range(warps)]
+            for index, row in enumerate(rows):
+                programs[warp_of(index)].append(row)
+            return programs
+
+        def emitted(programs):
+            for program in programs:
+                for op in program.ops:
+                    assert op.lines == coalesce_addresses(op.addresses, line)
+            return [[[int(a) for a in op.addresses] for op in program.ops]
+                    for program in programs]
+
+        stream = [[base + index * line + 4 * lane for lane in range(lanes)]
+                  for index in range(40)]
+        assert emitted(stream_warps(base, 40 * line, warps)) == \
+            expected(stream, lambda index: index % warps)
+        strided = [[base + (group * lanes + lane) * 5 % 96 * line
+                    for lane in range(lanes)] for group in range(3)]
+        assert emitted(strided_warps(base, 96 * line, warps,
+                                     stride_lines=5)) == \
+            expected(strided, lambda group: group % warps)
+        assert emitted(broadcast_warps(base, 8 * line, warps)) == \
+            [stream[:8]] * warps
+        indices = random_indices(200, 10_000, seed=3)
+        groups = [indices[start:start + lanes]
+                  for start in range(0, len(indices), lanes)]
+        gathered = [[base + index % 1024 * 4 for index in group]
+                    for group in groups]
+        assert emitted(gather_warps(base, 4096, warps, indices)) == \
+            expected(gathered, lambda group: group % warps)
 
     @given(st.integers(min_value=128, max_value=1 << 16),
            st.integers(min_value=1, max_value=64))

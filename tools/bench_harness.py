@@ -26,11 +26,6 @@ Usage::
     --serial-passes N      serial passes per point; each point keeps
                            its fastest pass (default 2 — the timeit
                            estimator, robust to shared-host noise)
-    --pipeline-codes ...   GPU-heavy codes timed scalar vs vectorized
-                           for the warp_pipeline section (default:
-                           KM FW GC)
-    --pipeline-repeats N   timing repeats per pipeline mode (default 3)
-    --skip-pipeline        omit the warp_pipeline section
     --service-code CODE    benchmark submitted through the job server
                            for the service section (default: VA)
     --skip-service         omit the service section
@@ -58,75 +53,16 @@ import sys
 import time
 from pathlib import Path
 
+import numpy
+
 from repro.core.protocol_mode import CoherenceMode
 from repro.harness.parallel import ParallelRunner, RunPoint, resolve_jobs
 from repro.harness.resultcache import ResultCache
 from repro.harness.runner import run_benchmark
 from repro.telemetry.manifest import run_manifest
-from repro.utils.pipeline import SCALAR_ENV
 from repro.workloads.suite import benchmark_codes
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def numpy_version():
-    try:
-        import numpy
-        return numpy.__version__
-    except ImportError:
-        return None
-
-
-def bench_warp_pipeline(codes, input_size, repeats):
-    """Time scalar vs vectorized warp-pipeline runs per benchmark.
-
-    Each mode runs *repeats* times in-process (best-of, first run
-    discarded as warm-up when repeats > 1); tick counts must match
-    between modes or the record is flagged.  The env toggle works
-    in-process because every run builds a fresh system, and components
-    read ``REPRO_SCALAR_PIPELINE`` at construction time.
-    """
-    saved = os.environ.get(SCALAR_ENV)
-    section = {"input_size": input_size, "repeats": repeats,
-               "benchmarks": {}}
-    try:
-        for code in codes:
-            entry = {}
-            ticks = {}
-            for label, env_value in (("scalar", "1"), ("vectorized", "")):
-                os.environ[SCALAR_ENV] = env_value
-                times = []
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    result = run_benchmark(code, input_size,
-                                           CoherenceMode.CCSM)
-                    times.append(time.perf_counter() - start)
-                best = min(times[1:]) if len(times) > 1 else times[0]
-                entry[f"{label}_s"] = round(best, 3)
-                ticks[label] = result.total_ticks
-            entry["speedup"] = round(entry["scalar_s"]
-                                     / entry["vectorized_s"], 2)
-            entry["total_ticks"] = ticks["vectorized"]
-            entry["ticks_identical"] = (ticks["scalar"]
-                                        == ticks["vectorized"])
-            section["benchmarks"][code] = entry
-            print(f"warp_pipeline  {code}: scalar {entry['scalar_s']}s, "
-                  f"vectorized {entry['vectorized_s']}s "
-                  f"({entry['speedup']}x, ticks "
-                  f"{'equal' if entry['ticks_identical'] else 'DIFFER'})",
-                  file=sys.stderr)
-    finally:
-        if saved is None:
-            os.environ.pop(SCALAR_ENV, None)
-        else:
-            os.environ[SCALAR_ENV] = saved
-    speedups = [entry["speedup"]
-                for entry in section["benchmarks"].values()]
-    section["best_speedup"] = max(speedups) if speedups else None
-    section["ticks_identical"] = all(
-        entry["ticks_identical"]
-        for entry in section["benchmarks"].values())
-    return section
 
 
 def bench_profile(codes, input_size):
@@ -338,10 +274,6 @@ def main(argv=None):
     parser.add_argument("--serial-passes", type=int, default=2,
                         help="serial passes per point; the per-point "
                              "minimum is recorded (noise-robust)")
-    parser.add_argument("--pipeline-codes", nargs="*",
-                        default=["KM", "FW", "GC"])
-    parser.add_argument("--pipeline-repeats", type=int, default=3)
-    parser.add_argument("--skip-pipeline", action="store_true")
     parser.add_argument("--service-code", default="VA")
     parser.add_argument("--skip-service", action="store_true")
     parser.add_argument("--profile-codes", nargs="*", default=["KM", "FW"])
@@ -369,7 +301,7 @@ def main(argv=None):
         "runs": len(points),
         "jobs": resolve_jobs(args.jobs),
         "cpu_count": os.cpu_count(),
-        "numpy_version": numpy_version(),
+        "numpy_version": numpy.__version__,
         "manifest": run_manifest(),
         "phases": {},
     }
@@ -426,11 +358,6 @@ def main(argv=None):
     record["total_ticks"] = {
         f"{point.code}/{point.mode.value}": result.total_ticks
         for point, result in zip(points, parallel_results)}
-
-    if not args.skip_pipeline:
-        record["warp_pipeline"] = bench_warp_pipeline(
-            args.pipeline_codes, args.input_size, args.pipeline_repeats)
-        identical = identical and record["warp_pipeline"]["ticks_identical"]
 
     if not args.skip_service:
         record["service"] = bench_service(args.service_code,
