@@ -350,6 +350,8 @@ def _cmd_figure4(args) -> int:
     from repro.harness.experiments import geomean_nonzero_speedup
     geomean = geomean_nonzero_speedup(rows)
     print(f"geomean of non-zero speedups: {(geomean - 1) * 100:.1f}%")
+    # the bars clamp at 0, so a slowdown shows only here
+    print(f"min speedup: {min(row.speedup_percent for row in rows):+.1f}%")
     return 0
 
 
@@ -363,6 +365,10 @@ def _cmd_figure5(args) -> int:
         ["Name", "CCSM", "Direct store"],
         [(row.code, f"{row.ccsm_miss_rate:.1%}",
           f"{row.ds_miss_rate:.1%}") for row in rows]))
+    from repro.harness.experiments import geomean_miss_rates
+    ccsm, direct_store = geomean_miss_rates(rows)
+    print(f"geomean of non-zero GPU L2 miss rates: CCSM {ccsm:.1%} -> "
+          f"direct store {direct_store:.1%}")
     return 0
 
 

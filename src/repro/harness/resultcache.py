@@ -148,17 +148,26 @@ class CacheStats:
 
 
 def resolve_byte_budget(byte_budget: Optional[int] = None) -> Optional[int]:
-    """Eviction budget: explicit argument > ``REPRO_CACHE_BYTES`` > none."""
+    """Eviction budget: explicit argument > ``REPRO_CACHE_BYTES`` > none.
+
+    A negative budget would evict every entry, the one just written
+    included, so it is rejected like a non-integer; 0 stays valid.
+    """
     if byte_budget is not None:
-        return byte_budget
-    env = os.environ.get(CACHE_BYTES_ENV, "").strip()
-    if not env:
-        return None
+        value, source = byte_budget, "byte budget"
+    else:
+        value = os.environ.get(CACHE_BYTES_ENV, "").strip()
+        if not value:
+            return None
+        source = CACHE_BYTES_ENV
     try:
-        return int(env)
+        budget = int(value)
     except ValueError:
+        budget = None
+    if budget is None or budget < 0:
         raise ValueError(
-            f"{CACHE_BYTES_ENV} must be an integer, got {env!r}") from None
+            f"{source} must be a non-negative integer, got {value!r}")
+    return budget
 
 
 class ResultCache:
@@ -332,12 +341,12 @@ class ResultCache:
         deterministic — until the cache fits.  Returns the number of
         entries evicted.
         """
+        budget = (self.byte_budget if byte_budget is None
+                  else resolve_byte_budget(byte_budget))
         _METRIC_COMPACTIONS.inc()
         for tmp in self._iter_tmp():
             if self._tmp_is_stale(tmp, stale_tmp_s):
                 tmp.unlink(missing_ok=True)
-        budget = (byte_budget if byte_budget is not None
-                  else self.byte_budget)
         if budget is None:
             return 0
         entries: List[tuple] = []

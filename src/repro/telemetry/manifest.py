@@ -1,10 +1,10 @@
 """Run provenance: what produced a persisted result, and from where.
 
 Every persisted artifact (result-cache entries, ``save_comparisons``
-output, ``BENCH_harness.json``) embeds a manifest so numbers can always
-be tied back to the exact code, interpreter, and configuration that
-produced them.  All git lookups degrade to ``None`` outside a checkout —
-a manifest never makes a run fail.
+output, the explorer's validated points) embeds a manifest so numbers
+can always be tied back to the exact code, interpreter, and
+configuration that produced them.  All git lookups degrade to ``None``
+outside a checkout — a manifest never makes a run fail.
 
 The git fields are looked up once per process, on the first manifest,
 and describe the checkout as the process first saw it: the code a

@@ -56,11 +56,13 @@ class TestRunCommands:
         assert main(["figure4", "--codes", "PT"]) == 0
         out = capsys.readouterr().out
         assert "FIG. 4" in out and "geomean" in out
+        assert "min speedup" in out
 
     def test_figure5_subset(self, capsys):
         assert main(["figure5", "--codes", "PT"]) == 0
         out = capsys.readouterr().out
         assert "FIG. 5" in out and "PT" in out
+        assert "geomean of non-zero GPU L2 miss rates: CCSM" in out
 
 
 class TestTranslate:
@@ -109,6 +111,10 @@ class TestCacheCommand:
     def test_evict_requires_bytes(self, capsys):
         assert main(["cache", "evict"]) == 2
         assert "--bytes" in capsys.readouterr().err
+
+    def test_negative_bytes_rejected(self, capsys):
+        assert main(["cache", "compact", "--bytes", "-1"]) == 2
+        assert "non-negative integer" in capsys.readouterr().err
 
     def test_evict_to_zero_budget(self, capsys):
         assert main(["compare", "PT"]) == 0

@@ -1,10 +1,8 @@
-"""Service metrics registry, exposition, logging, and bench_watch."""
+"""Service metrics registry, exposition and logging."""
 
-import importlib.util
 import io
 import json
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -247,83 +245,3 @@ class TestBitIdentity:
         assert instrumented.total_ticks == direct.total_ticks
         assert instrumented.to_dict() == direct.to_dict()
 
-
-def _load_bench_watch():
-    path = Path(__file__).resolve().parent.parent / "tools" \
-        / "bench_watch.py"
-    spec = importlib.util.spec_from_file_location("bench_watch", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestBenchWatch:
-    @pytest.fixture()
-    def bench_watch(self):
-        return _load_bench_watch()
-
-    def _record(self, times, ticks=None, timestamp="2026-01-01"):
-        record = {"timestamp": timestamp, "per_benchmark_s": times}
-        if ticks is not None:
-            record["total_ticks"] = ticks
-        return record
-
-    def test_flags_regression_beyond_band(self, bench_watch):
-        report = bench_watch.compare(
-            [self._record({"VA/ccsm": 1.0}),
-             self._record({"VA/ccsm": 1.5})], band=0.10, floor=0.05)
-        assert [e["benchmark"] for e in report["regressions"]] \
-            == ["VA/ccsm"]
-
-    def test_noise_band_absorbs_jitter(self, bench_watch):
-        report = bench_watch.compare(
-            [self._record({"VA/ccsm": 1.0}),
-             self._record({"VA/ccsm": 1.05})], band=0.10, floor=0.05)
-        assert report["regressions"] == []
-        # tiny benchmarks stay under the absolute floor even at +100%
-        report = bench_watch.compare(
-            [self._record({"NN/ccsm": 0.02}),
-             self._record({"NN/ccsm": 0.04})], band=0.10, floor=0.05)
-        assert report["regressions"] == []
-
-    def test_median_baseline_resists_one_burst(self, bench_watch):
-        records = [self._record({"VA/ccsm": 1.0}),
-                   self._record({"VA/ccsm": 9.0}),  # interference burst
-                   self._record({"VA/ccsm": 1.0}),
-                   self._record({"VA/ccsm": 1.05})]
-        report = bench_watch.compare(records, band=0.10, floor=0.05)
-        assert report["regressions"] == []
-
-    def test_tick_drift_is_semantic_not_regression(self, bench_watch):
-        records = [self._record({"VA/ccsm": 1.0},
-                                ticks={"VA/ccsm": 100}),
-                   self._record({"VA/ccsm": 5.0},
-                                ticks={"VA/ccsm": 200})]
-        report = bench_watch.compare(records, band=0.10, floor=0.05)
-        assert report["regressions"] == []
-        assert [e["benchmark"] for e in report["semantic_changes"]] \
-            == ["VA/ccsm"]
-
-    def test_metrics_digest_from_newest(self, bench_watch):
-        newest = self._record({"VA/ccsm": 1.0})
-        newest["metrics"] = {
-            names.CACHE_HITS: {"type": "counter",
-                               "samples": [{"labels": {}, "value": 7}]}}
-        report = bench_watch.compare(
-            [self._record({"VA/ccsm": 1.0}), newest],
-            band=0.10, floor=0.05)
-        assert report["metrics"][names.CACHE_HITS] == 7
-        assert "7" in bench_watch.render(report)
-
-    def test_main_exit_codes(self, bench_watch, tmp_path, capsys):
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        old.write_text(json.dumps(self._record({"VA/ccsm": 1.0})))
-        new.write_text(json.dumps(self._record({"VA/ccsm": 2.0})))
-        assert bench_watch.main([str(old), str(new)]) == 0
-        assert bench_watch.main(["--fail-on-regression", str(old),
-                                 str(new)]) == 1
-        capsys.readouterr()  # drain the text-mode output
-        assert bench_watch.main(["--json", str(old), str(new)]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["regressions"][0]["benchmark"] == "VA/ccsm"

@@ -6,16 +6,23 @@
 * The one shipping path against the committed record: VA, KM and FW
   small under CCSM and direct store reproduce their
   ``perfbench/reference.json`` signatures exactly.
+* The pool and the result cache against the same record: VA and NN
+  small through ``ParallelRunner(jobs=2)`` reproduce the reference
+  ``total_ticks`` cold and warm, and the warm pass is served from the
+  cache faster than the cold pass ran.
 
 Run alone with ``python -m pytest -m smoke``.
 """
 
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.core.protocol_mode import CoherenceMode
+from repro.harness.parallel import ParallelRunner, RunPoint
+from repro.harness.resultcache import ResultCache
 from repro.harness.runner import run_benchmark
 
 # perfbench/suite.py is imported read-only, as perfbench/tests does
@@ -67,3 +74,21 @@ def test_points_match_committed_reference():
             if observed != reference["points"][key]:
                 mismatched.append(key)
     assert mismatched == []
+
+
+def test_pool_and_cache_reproduce_reference(tmp_path):
+    reference = load_reference()["points"]
+    points = [RunPoint(code, "small", mode) for code in ("VA", "NN")
+              for mode in (CoherenceMode.CCSM, CoherenceMode.DIRECT_STORE)]
+    expected = [reference[point_key(point.code, point.mode)]["total_ticks"]
+                for point in points]
+    passes = []
+    for _ in ("cold", "warm"):
+        cache = ResultCache(tmp_path)
+        started = time.perf_counter()
+        results = ParallelRunner(jobs=2, cache=cache).run_points(points)
+        passes.append((time.perf_counter() - started, cache))
+        assert [result.total_ticks for result in results] == expected
+    (cold_s, _), (warm_s, warm_cache) = passes
+    assert (warm_cache.hits, warm_cache.misses) == (len(points), 0)
+    assert warm_s < cold_s

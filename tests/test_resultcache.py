@@ -357,9 +357,20 @@ class TestEviction:
         assert not path_a.exists()
 
     def test_bad_env_budget_rejected(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_BYTES", "lots")
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path)
+        for value in ("lots", "-1"):
+            monkeypatch.setenv("REPRO_CACHE_BYTES", value)
+            with pytest.raises(ValueError, match="non-negative integer"):
+                ResultCache(tmp_path)
+
+    def test_negative_explicit_budget_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            ResultCache(tmp_path, byte_budget=-1)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            ResultCache(tmp_path).compact(byte_budget=-1)
+
+    def test_zero_budget_is_valid(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_BYTES", "0")
+        assert ResultCache(tmp_path).byte_budget == 0
 
     def test_no_budget_never_evicts(self, tiny_config, tmp_path,
                                     monkeypatch):

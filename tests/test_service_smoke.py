@@ -1,11 +1,14 @@
-"""Smoke check of a real ``repro serve`` process.
+"""Smoke checks of a real ``repro serve`` process.
 
 Six concurrent duplicate submissions must run exactly one simulation
 and leave exactly one cache entry, and the served result must carry its
-provenance.  Run alone with ``python -m pytest -m smoke``.
+provenance.  Dedupe and cache traffic must show on ``/metrics`` and
+``/readyz``, and the structured log must carry the job correlation ids.
+Run alone with ``python -m pytest -m smoke``.
 """
 
 import contextlib
+import json
 import os
 import re
 import signal
@@ -17,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro
+from repro.metrics import names, parse_exposition, sum_samples
 from repro.serve.client import ServeClient
 
 pytestmark = pytest.mark.smoke
@@ -29,9 +33,13 @@ SUBMISSIONS = 6
 
 @pytest.fixture
 def served_port(tmp_path):
-    """Start ``repro serve`` on a free port; yield the port."""
+    """Start ``repro serve`` on a free port; yield the port.
+
+    The server logs JSON records (``REPRO_LOG=json``) to
+    ``tmp_path / "serve.log"``, after its plain announce line.
+    """
     log_path = tmp_path / "serve.log"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, REPRO_LOG="json", PYTHONPATH=os.pathsep.join(
         filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
     with open(log_path, "w") as log:
         server = subprocess.Popen(
@@ -87,3 +95,35 @@ def test_duplicate_submissions_run_one_simulation(served_port):
     assert stats["jobs"]["done"] == 1, stats["jobs"]
     assert stats["cache"]["enabled"], stats["cache"]
     assert stats["cache"]["entries"] == 1, stats["cache"]
+
+
+def test_metrics_readiness_and_job_log(served_port, tmp_path):
+    client = ServeClient(port=served_port)
+    # 3 submissions, 1 duplicate: the duplicate must be absorbed by
+    # dedupe and the repeat of a finished point must hit the cache
+    client.submit_and_wait("VA", "small", "ccsm")
+    client.submit_and_wait("VA", "small", "direct_store")
+    client.submit_and_wait("VA", "small", "ccsm")
+
+    readiness = client.readyz()
+    assert readiness["ready"], readiness
+    assert not readiness["degraded_to_threads"], readiness
+
+    samples = parse_exposition(client.metrics_text())
+    assert sum_samples(samples, names.JOBS_SUBMITTED) == 3
+    assert sum_samples(samples, names.JOBS_DEDUPLICATED) >= 1
+    assert sum_samples(samples, names.SIMULATIONS) == 2
+    assert sum_samples(samples, names.CACHE_PUTS) >= 2
+    assert sum_samples(samples, names.CACHE_HITS) \
+        + sum_samples(samples, names.CACHE_MISSES) >= 1
+
+    events, jobs = set(), set()
+    for line in (tmp_path / "serve.log").read_text().splitlines():
+        if not line.startswith("{"):
+            continue
+        record = json.loads(line)
+        events.add(record.get("event"))
+        if record.get("job"):
+            jobs.add(record["job"])
+    assert {"job_admitted", "job_done", "job_deduped"} <= events, events
+    assert len(jobs) >= 2, jobs
