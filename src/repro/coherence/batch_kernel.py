@@ -29,11 +29,11 @@ Bit-identity contract: the kernel performs *exactly* the state changes,
 statistics updates, link bookings, DRAM accesses, and event postings of
 the reference path, in the same order, with the same integer arithmetic.
 ``REPRO_BATCH_KERNEL=0`` keeps the layered path; the equivalence tests
-diff the two.  Observation features fall back per request: when the
-telemetry tracer is live the kernel delegates to the reference path so
-trace streams stay identical, and rare/complex cases
-(MSHR-full parking and its drain replay) re-enter
-:meth:`CoherentPort._request` directly.
+diff the two.  Every request of an untraced run goes through the fused
+walk, including merge replays and requests parked on a full MSHR file
+(:meth:`PortBatchKernel.drain_waiting`).  Only while the telemetry
+tracer is live does the kernel delegate to
+:meth:`CoherentPort._request`, so trace streams stay identical.
 """
 
 from __future__ import annotations
@@ -102,6 +102,7 @@ class PortBatchKernel:
         self._mshr_merges = port.mshrs._merges
         self._num_mshrs = port.mshrs.num_entries
         self._waiting = port._waiting
+        self._drain_parked = port._drain_waiting
 
         self._line_mask = port._line_mask
         self._cache = cache
@@ -260,6 +261,21 @@ class PortBatchKernel:
             return
         self._request_fused(address, value, callback, is_store, None)
 
+    def drain_waiting(self) -> None:
+        """Re-issue parked requests through the fused walk, in FIFO
+        order, while MSHR entries are free (``CoherentPort._drain_waiting``
+        without the layered re-entry)."""
+        if not self._ready:
+            self._setup()
+        waiting = self._waiting
+        entries = self._mshr_entries
+        num_mshrs = self._num_mshrs
+        request = self._request_fused
+        while waiting and len(entries) < num_mshrs:
+            address, value, callback, is_store, on_accept = \
+                waiting.popleft()
+            request(address, value, callback, is_store, on_accept)
+
     # ------------------------------------------------------------------
     # the fused request
     # ------------------------------------------------------------------
@@ -281,8 +297,7 @@ class PortBatchKernel:
                 lambda: self._replay(address, value, callback, is_store))
             return
         if len(self._mshr_entries) >= self._num_mshrs:
-            # structural stall: park until an entry retires; the drain
-            # replays through the reference path
+            # structural stall: park until an entry retires
             self._waiting.append(
                 (address, value, callback, is_store, on_accept))
             return
@@ -340,14 +355,16 @@ class PortBatchKernel:
         entry = self._mshrs.allocate(line_address, now, is_write=is_store)
         assert entry is not None  # guarded by the is_full check above
         mshrs = self._mshrs
-        port = self._port
+        waiting = self._waiting
+        drain = self._drain_parked
 
         def _complete() -> None:
             waiters = mshrs.complete(line_address)
             callback(result)
             for waiter in waiters:
                 waiter()
-            port._drain_waiting()
+            if waiting:
+                drain()
 
         self._post_at(ready, _complete)
 

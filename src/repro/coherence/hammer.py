@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.coherence.messages import CoherenceMsgType
 from repro.coherence.protocol_table import (
     LOAD_TRANSITIONS,
     PROBE_GETS_TRANSITIONS,
@@ -46,7 +45,7 @@ from repro.coherence.protocol_table import (
 from repro.coherence.states import HammerState
 from repro.engine.clock import ClockDomain
 from repro.interconnect.direct_network import DirectStoreNetwork
-from repro.interconnect.message import MessageClass, NetworkMessage
+from repro.interconnect.message import MessageClass
 from repro.interconnect.network import Network
 from repro.mem.cache import SetAssociativeCache
 from repro.mem.cacheline import CacheLine
@@ -57,6 +56,18 @@ from repro.utils.statistics import StatsRegistry
 
 #: node name of the memory controller / ordering point
 MEMCTRL = "memctrl"
+
+#: may a remote store leave from / arrive at a line absent in the cache?
+#: (fixed by the protocol table; checked on every forward)
+_I_MAY_FORWARD = HammerState.I in REMOTE_STORE_LOCAL_TRANSITIONS
+_I_MAY_RECEIVE = HammerState.I in REMOTE_STORE_ARRIVE_TRANSITIONS
+# an arriving store merges into (or installs) the slice's line in every
+# state the table allows, so remote_store checks only legality
+assert all(action in (Action.MERGE_STORE, Action.INSTALL_MM)
+           for _next, action in REMOTE_STORE_ARRIVE_TRANSITIONS.values())
+_STATE_MM = HammerState.MM
+_STORE_FORWARD = MessageClass.STORE_FORWARD
+_DATA = MessageClass.DATA
 
 
 @dataclass(slots=True)
@@ -146,6 +157,10 @@ class HammerSystem:
         self.agents: Dict[str, CoherentAgent] = {}
         self.ds_network: Optional[DirectStoreNetwork] = None
         self.line_size = network.line_size
+        self._line_mask = ~(network.line_size - 1)
+        #: agent name -> (agent, cache, line-map get, line shift),
+        #: resolved on the agent's first remote store
+        self._remote_ends: Dict[str, tuple] = {}
         self.stats = StatsRegistry("hammer")
         self._gets = self.stats.counter("gets_requests")
         self._getx = self.stats.counter("getx_requests")
@@ -171,6 +186,18 @@ class HammerSystem:
         if agent.name in self.agents:
             raise ValueError(f"duplicate agent {agent.name!r}")
         self.agents[agent.name] = agent
+
+    @property
+    def ds_network(self) -> Optional[DirectStoreNetwork]:
+        """The dedicated CPU→GPU-L2 network, or ``None``."""
+        return self._ds_network
+
+    @ds_network.setter
+    def ds_network(self, ds_network: Optional[DirectStoreNetwork]) -> None:
+        self._ds_network = ds_network
+        #: the network's forward, bound once for :meth:`remote_store`
+        self._ds_forward = (None if ds_network is None
+                            else ds_network.forward_raw)
 
     def attach_direct_network(self, ds_network: DirectStoreNetwork) -> None:
         """Wire up the dedicated CPU→GPU-L2 network (§III-G)."""
@@ -322,76 +349,53 @@ class HammerSystem:
         (address, value) pairs write-combined by the store buffer; a
         multi-word burst travels as a full data message rather than the
         16-byte single-word forward.
+
+        This is the push path's per-store work, so it probes each line
+        map once and skips the word list when values are not tracked.
         """
-        ds_network = self.ds_network
-        if ds_network is None:
+        forward = self._ds_forward
+        if forward is None:
             raise RuntimeError("direct-store network is not attached")
-        src = self.agents[src_name]
-        dst = self.agents[slice_name]
-        line_address = address & ~(self.line_size - 1)
+        ends = self._remote_ends
+        src, _src_cache, src_line_get, src_shift = (
+            ends.get(src_name) or self._remote_end(src_name))
+        dst, dst_cache, dst_line_get, dst_shift = (
+            ends.get(slice_name) or self._remote_end(slice_name))
+        line_address = address & self._line_mask
         self._remote_stores.value += 1
-        words = [(address, value)]
-        if extra_words:
-            words.extend(extra_words)
+        image = self.image
 
         # --- CPU side: Fig. 3 bold transitions -------------------------
         if src.on_probe is not None:
             src.on_probe(line_address)
-        local = src.cache.probe(line_address)
+        local = src_line_get(line_address >> src_shift)
         if local is not None:
-            transition = REMOTE_STORE_LOCAL_TRANSITIONS.get(local.state)
-            if transition is None:
-                raise ProtocolViolationError(
-                    local.state, ProtocolEvent.REMOTE_STORE_LOCAL, src_name)
-            _state_after, action = transition
-            if action is Action.FLUSH_THEN_FORWARD:
-                # "it gets exclusive permission to the cache block": the
-                # local copy (dirty or not) leaves the CPU before the
-                # forward, so the GPU-side install is the only copy.
-                victim = src.cache.invalidate(line_address)
-                assert victim is not None
-                if victim.dirty:
-                    self._writeback(src.name, line_address, victim, now)
-                if src.on_back_invalidate is not None:
-                    src.on_back_invalidate(line_address)
-                self._trace(src_name, line_address, "RemoteStoreLocal",
-                            victim.state, HammerState.I, now)
-            # FORWARD_STORE from I needs no local work
-        elif HammerState.I not in REMOTE_STORE_LOCAL_TRANSITIONS:
+            self._remote_store_local(src, local[1], line_address, now)
+        elif not _I_MAY_FORWARD:
             raise ProtocolViolationError(
                 HammerState.I, ProtocolEvent.REMOTE_STORE_LOCAL, src_name)
 
         # --- the dedicated network hop ---------------------------------
-        msg_class = (MessageClass.STORE_FORWARD if len(words) == 1
-                     else MessageClass.DATA)
-        forward_raw = getattr(ds_network, "forward_raw", None)
-        if forward_raw is not None:
-            arrival = forward_raw(slice_name, msg_class, line_address, now)
-        else:
-            arrival = ds_network.send(
-                NetworkMessage(src_name, slice_name, msg_class,
-                               line_address,
-                               payload=CoherenceMsgType.DS_PUTX,
-                               created_tick=now),
-                now)
+        arrival = forward(slice_name,
+                          _DATA if extra_words else _STORE_FORWARD,
+                          line_address, now)
 
         # --- GPU L2 side: I -> MM install / MM merge --------------------
         t_done = arrival + dst.tag_ticks
-        existing = dst.cache.probe(line_address)
-        if existing is not None:
-            transition = REMOTE_STORE_ARRIVE_TRANSITIONS.get(existing.state)
-            if transition is None:
-                raise ProtocolViolationError(
-                    existing.state, ProtocolEvent.REMOTE_STORE_ARRIVE,
-                    slice_name)
-            _state_after, action = transition
-            assert action in (Action.MERGE_STORE, Action.INSTALL_MM)
+        local_line = line_address >> dst_shift
+        entry = dst_line_get(local_line)
+        if entry is not None:
+            existing = entry[1]
             old_state = existing.state
-            existing.state = HammerState.MM
-            image = self.image
+            if old_state not in REMOTE_STORE_ARRIVE_TRANSITIONS:
+                raise ProtocolViolationError(
+                    old_state, ProtocolEvent.REMOTE_STORE_ARRIVE,
+                    slice_name)
+            existing.state = _STATE_MM
             if image is not None:
                 data = existing.data
-                for word_address, word_value in words:
+                for word_address, word_value in self._words(
+                        address, value, extra_words):
                     if word_value is not None:
                         if data is None:
                             data = existing.data = {}
@@ -400,42 +404,90 @@ class HammerSystem:
             existing.dirty = True
             if TRACER.enabled:
                 self._trace(slice_name, line_address, "RemoteStoreArrive",
-                            old_state, HammerState.MM, t_done)
+                            old_state, _STATE_MM, t_done)
             return AccessResult(t_done, value, True, "local")
-        if HammerState.I not in REMOTE_STORE_ARRIVE_TRANSITIONS:
+        if not _I_MAY_RECEIVE:
             raise ProtocolViolationError(
                 HammerState.I, ProtocolEvent.REMOTE_STORE_ARRIVE, slice_name)
-        if not dst.cache.has_free_way(line_address):
-            # §III-A: "If the GPU L2 cache is full, the system then
-            # writes data to DRAM."  Bypassing a full set instead of
-            # evicting keeps pushed-but-unread lines resident — without
-            # this, a streaming producer larger than the L2 would evict
-            # its own earlier pushes and poison the consume phase.
-            self._ds_dram_bypass.increment()
+        if (dst_cache._valid_masks[local_line & dst_cache.layout.index_mask]
+                == dst_cache._full_mask):
+            # no free way (has_free_way): §III-A: "If the GPU L2 cache is
+            # full, the system then writes data to DRAM."  Bypassing a
+            # full set instead of evicting keeps pushed-but-unread lines
+            # resident — without this, a streaming producer larger than
+            # the L2 would evict its own earlier pushes and poison the
+            # consume phase.
+            self._ds_dram_bypass.value += 1
             if TRACER.enabled:
                 TRACER.instant("direct_store", "dram_bypass", t_done,
                                track=slice_name,
                                args={"line": line_address})
-            if self.image is not None:
-                for word_address, word_value in words:
+            if image is not None:
+                for word_address, word_value in self._words(
+                        address, value, extra_words):
                     if word_value is not None:
-                        self.image.write_word(word_address, word_value)
+                        image.write_word(word_address, word_value)
             self.dram.post_write(line_address, t_done)
             return AccessResult(t_done, value, False, "memory")
         payload = None
-        if self.image is not None:
-            payload = self.image.read_line(line_address)
-        victim = dst.cache.fill(line_address, HammerState.MM, t_done,
-                                payload, dirty=True)
+        if image is not None:
+            payload = image.read_line(line_address)
+        victim = dst_cache.fill(line_address, _STATE_MM, t_done, payload,
+                                dirty=True)
         if victim is not None:
             self._handle_victim(dst, victim[0], victim[1], t_done)
-        filled = dst.cache.probe(line_address)
-        assert filled is not None
-        for word_address, word_value in words:
-            self._write_word(filled, word_address, word_value)
-        self._trace(slice_name, line_address, "RemoteStoreArrive",
-                    HammerState.I, HammerState.MM, t_done)
+        if image is not None:
+            # fill() already marked the line dirty, so untracked values
+            # need no write
+            filled = dst_line_get(local_line)[1]
+            for word_address, word_value in self._words(
+                    address, value, extra_words):
+                self._write_word(filled, word_address, word_value)
+        if TRACER.enabled:
+            self._trace(slice_name, line_address, "RemoteStoreArrive",
+                        HammerState.I, _STATE_MM, t_done)
         return AccessResult(t_done, value, False, "local")
+
+    def _remote_end(self, agent_name: str) -> tuple:
+        """Resolve and cache ``(agent, cache, line-map get, line shift)``
+        for one end of a remote store."""
+        agent = self.agents[agent_name]
+        cache = agent.cache
+        end = (agent, cache, cache._line_map.get, cache.layout.line_shift)
+        self._remote_ends[agent_name] = end
+        return end
+
+    @staticmethod
+    def _words(address: int, value: Optional[int],
+               extra_words: Optional[List[Tuple[int, Optional[int]]]]
+               ) -> List[Tuple[int, Optional[int]]]:
+        """Every (address, value) pair a remote store carries."""
+        words = [(address, value)]
+        if extra_words:
+            words.extend(extra_words)
+        return words
+
+    def _remote_store_local(self, src: CoherentAgent, local: CacheLine,
+                            line_address: int, now: int) -> None:
+        """CPU-side transition of a remote store that finds the line
+        cached at the source (Fig. 3, always-to-I)."""
+        transition = REMOTE_STORE_LOCAL_TRANSITIONS.get(local.state)
+        if transition is None:
+            raise ProtocolViolationError(
+                local.state, ProtocolEvent.REMOTE_STORE_LOCAL, src.name)
+        if transition[1] is Action.FLUSH_THEN_FORWARD:
+            # "it gets exclusive permission to the cache block": the
+            # local copy (dirty or not) leaves the CPU before the
+            # forward, so the GPU-side install is the only copy.
+            victim = src.cache.invalidate(line_address)
+            assert victim is not None
+            if victim.dirty:
+                self._writeback(src.name, line_address, victim, now)
+            if src.on_back_invalidate is not None:
+                src.on_back_invalidate(line_address)
+            self._trace(src.name, line_address, "RemoteStoreLocal",
+                        victim.state, HammerState.I, now)
+        # FORWARD_STORE from I needs no local work
 
     # ------------------------------------------------------------------
     # protocol walks

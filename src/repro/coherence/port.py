@@ -25,6 +25,7 @@ from typing import Callable, Optional
 from repro.coherence.hammer import AccessResult, HammerSystem
 from repro.engine.event import EventQueue
 from repro.mem.mshr import MSHRFile
+from repro.telemetry.tracer import TRACER
 
 Callback = Callable[[AccessResult], None]
 
@@ -68,9 +69,9 @@ class CoherentPort:
         #: cause a retry storm under heavy fan-in)
         self._waiting: "deque" = deque()
         # The batched kernel shadows load/store/load_batch with its
-        # fused entry points; _request stays the reference path (and the
-        # kernel's fallback for traced runs, parked-request drains, and
-        # merge replays).
+        # fused entry points and drains parked requests through them;
+        # _request stays the reference path and the kernel's fallback
+        # while the telemetry tracer is live.
         self._kernel = None
         if batch_kernel_enabled():
             from repro.coherence.batch_kernel import PortBatchKernel
@@ -164,7 +165,15 @@ class CoherentPort:
             self.queue.post_after(0, on_accept)
 
     def _drain_waiting(self) -> None:
-        """Re-issue parked requests now that MSHR space freed up."""
+        """Re-issue parked requests now that MSHR space freed up.
+
+        With the kernel installed they re-enter its fused request, as
+        merge replays do; the layered :meth:`_request` drains them only
+        under ``REPRO_BATCH_KERNEL=0`` or while the tracer is live.
+        """
+        if self._kernel is not None and not TRACER.enabled:
+            self._kernel.drain_waiting()
+            return
         while self._waiting and not self.mshrs.is_full:
             address, value, callback, is_store, on_accept = \
                 self._waiting.popleft()

@@ -20,6 +20,11 @@ class HammerState(Enum):
     S = "S"    # shared, read-only
     I = "I"    # invalid
 
+    #: identity hash: members are singletons compared by identity, and
+    #: states key the protocol tables probed on every coherent access,
+    #: where ``Enum.__hash__`` (a Python-level call) was measurable
+    __hash__ = object.__hash__
+
     @property
     def can_read(self) -> bool:
         """May a local load hit in this state?"""

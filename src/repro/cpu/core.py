@@ -18,7 +18,7 @@ no drain is in flight.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cpu.hierarchy import CpuMemorySubsystem
 from repro.engine.clock import ClockDomain
@@ -27,6 +27,45 @@ from repro.mem.writebuffer import WriteBuffer
 from repro.utils.statistics import StatsRegistry
 from repro.vm.mmu import MMU
 from repro.workloads.trace import CpuOp, OpKind
+
+# op-kind codes of a compiled phase: the issue path branches on ints
+_K_STORE = 0
+_K_COMPUTE = 1
+_K_LOAD = 2
+_K_OTHER = 3
+
+_KIND_CODE: Dict[OpKind, int] = {
+    OpKind.STORE: _K_STORE,
+    OpKind.COMPUTE: _K_COMPUTE,
+    OpKind.LOAD: _K_LOAD,
+}
+
+#: the size every buffered CPU store carries (one word)
+_STORE_SIZE = 4
+
+
+def _compile_ops(ops: List[CpuOp], period_ticks: int
+                 ) -> Tuple[List[int], List[int]]:
+    """(kind codes, issue deltas) for a phase's op list.
+
+    A COMPUTE op holds the core ``max(1, cycles)`` cycles; a STORE
+    retires in one cycle plus the per-element generation cost the trace
+    attached to it (``cycles``); a LOAD's delta is unused (it waits for
+    its data).  Equal deltas share one int object.
+    """
+    kinds = [_KIND_CODE.get(op.kind, _K_OTHER) for op in ops]
+    shared: Dict[int, int] = {}
+    deltas = []
+    for code, op in zip(kinds, ops):
+        cycles = op.cycles
+        if code == _K_STORE:
+            ticks = (1 + (cycles if cycles > 0 else 0)) * period_ticks
+        elif code == _K_COMPUTE:
+            ticks = (cycles if cycles > 1 else 1) * period_ticks
+        else:
+            ticks = 0
+        deltas.append(shared.setdefault(ticks, ticks))
+    return kinds, deltas
 
 
 class CpuCore:
@@ -47,10 +86,20 @@ class CpuCore:
         self._cycle_ticks = clock.cycles_to_ticks(1)
         self._period_ticks = clock.period_ticks
         self._line_mask = ~(memory.engine.line_size - 1)
-        # drain-engine callbacks, bound once (they are passed on every
-        # drained store)
+        self._post_after = queue.post_after
+        self._translate = mmu.translate
+        self._memory_store = memory.store
+        # callbacks, bound once: they are posted or passed per op
+        self._issue_next_cb = self._issue_next
         self._store_complete_cb = self._store_complete
         self._drain_accepted_cb = self._drain_accepted
+        # the store buffer's queue and counters, pushed and drained in
+        # place (the buffer object stays the public view of its state)
+        self._sb_queue = self.store_buffer._queue
+        self._sb_capacity = self.store_buffer.capacity
+        self._sb_enqueued = self.store_buffer._enqueued
+        self._sb_drained = self.store_buffer._drained
+        self._sb_full_stalls = self.store_buffer._full_stalls
         self._ops_executed = self.stats.counter("ops_executed")
         self._load_latency = self.stats.histogram(
             "load_latency_ticks", [1000, 5000, 20000, 100000, 500000])
@@ -58,10 +107,14 @@ class CpuCore:
             "store_buffer_stall_events")
         # run state
         self._ops: List[CpuOp] = []
+        self._kinds: List[int] = []
+        self._deltas: List[int] = []
+        self._num_ops = 0
         self._next_op = 0
         self._drains_outstanding = 0
         self._stores_inflight = 0
-        self._stalled_on_store: Optional[CpuOp] = None
+        #: the next op is a store waiting for a free buffer entry
+        self._stalled_on_store = False
         self._on_done: Optional[Callable[[int], None]] = None
         self._running = False
 
@@ -73,42 +126,74 @@ class CpuCore:
         if self._running:
             raise RuntimeError(f"{self.name}: already running a phase")
         self._ops = ops
+        self._kinds, self._deltas = _compile_ops(ops, self._period_ticks)
+        self._num_ops = len(ops)
         self._next_op = 0
         self._on_done = on_done
         self._running = True
-        self.queue.post_after(0, self._issue_next)
+        self._post_after(0, self._issue_next_cb)
 
     # ------------------------------------------------------------------
 
     def _issue_next(self) -> None:
-        if self._next_op >= len(self._ops):
+        index = self._next_op
+        if index >= self._num_ops:
             self._maybe_finish()
             return
-        op = self._ops[self._next_op]
-        self._next_op += 1
+        self._next_op = index + 1
+        kind = self._kinds[index]
 
-        if op.kind is OpKind.COMPUTE:
-            self._ops_executed.increment()
-            self.queue.post_after(max(1, op.cycles) * self._period_ticks,
-                              self._issue_next)
+        if kind == _K_STORE:
+            sb_queue = self._sb_queue
+            if (not sb_queue and self._drains_outstanding
+                    < self.max_outstanding_drains):
+                # empty buffer, free drain slot: the store passes
+                # straight through it (pushed and drained at once, with
+                # nothing queued to combine it with)
+                op = self._ops[index]
+                self._sb_enqueued.value += 1
+                self._sb_drained.value += 1
+                self._ops_executed.value += 1
+                self._drains_outstanding += 1
+                self._stores_inflight += 1
+                self._memory_store(self._translate(op.address, True),
+                                   op.value, self._store_complete_cb, None,
+                                   self._drain_accepted_cb)
+            elif len(sb_queue) >= self._sb_capacity:
+                # buffer full: stall until a drain completes
+                self._sb_full_stalls.value += 1
+                self._sb_stall_ticks.value += 1
+                self._stalled_on_store = True
+                self._next_op = index  # re-issue this op when unstalled
+                return
+            else:
+                op = self._ops[index]
+                sb_queue.append((op.address, op.value, _STORE_SIZE))
+                self._sb_enqueued.value += 1
+                self._ops_executed.value += 1
+                if self._drains_outstanding < self.max_outstanding_drains:
+                    self._kick_drain()
+            self._post_after(self._deltas[index], self._issue_next_cb)
             return
-        if op.kind is OpKind.LOAD:
-            self._ops_executed.increment()
-            self._issue_load(op)
+        if kind == _K_COMPUTE:
+            self._ops_executed.value += 1
+            self._post_after(self._deltas[index], self._issue_next_cb)
             return
-        if op.kind is OpKind.STORE:
-            self._issue_store(op)
+        if kind == _K_LOAD:
+            self._ops_executed.value += 1
+            self._issue_load(self._ops[index])
             return
-        raise ValueError(f"{self.name}: CPU op {op.kind} not executable")
+        raise ValueError(
+            f"{self.name}: CPU op {self._ops[index].kind} not executable")
 
     def _issue_load(self, op: CpuOp) -> None:
-        forwarded = self.store_buffer.forwards(op.address)
-        if forwarded is not None:
+        forwarded, _value = self.store_buffer.forwards(op.address)
+        if forwarded:
             # store-to-load forwarding: one-cycle bypass
-            self.queue.post_after(self._cycle_ticks, self._issue_next)
+            self._post_after(self._cycle_ticks, self._issue_next_cb)
             return
         issue_tick = self.queue.current_tick
-        translation = self.mmu.translate(op.address, is_store=False)
+        translation = self._translate(op.address, False)
 
         def _done(_result) -> None:
             self._load_latency.record(self.queue.current_tick - issue_tick)
@@ -116,81 +201,72 @@ class CpuCore:
 
         self.memory.load(translation, _done)
 
-    def _issue_store(self, op: CpuOp) -> None:
-        if not self.store_buffer.push(op.address, op.value):
-            # buffer full: stall until a drain completes
-            self._sb_stall_ticks.increment()
-            self._stalled_on_store = op
-            self._next_op -= 1  # re-issue this op when unstalled
-            return
-        self._ops_executed.increment()
-        self._kick_drain()
-        # a store retires in one cycle plus any per-element generation
-        # cost the trace attached to it (op.cycles)
-        self.queue.post_after(
-            (1 + max(0, op.cycles)) * self._period_ticks,
-            self._issue_next)
-
     # ------------------------------------------------------------------
     # drain engine
     # ------------------------------------------------------------------
 
     def _kick_drain(self) -> None:
-        sb_queue = self.store_buffer._queue
-        if not sb_queue \
-                or self._drains_outstanding >= self.max_outstanding_drains:
-            return
+        """Issue buffered stores while drain slots are free.
+
+        Callers have checked that a slot is free.
+        """
+        sb_queue = self._sb_queue
+        max_drains = self.max_outstanding_drains
         line_mask = self._line_mask
-        drained = self.store_buffer._drained
-        translate = self.mmu.translate
-        memory_store = self.memory.store
-        while (self._drains_outstanding < self.max_outstanding_drains
-               and sb_queue):
-            drained.value += 1
+        translate = self._translate
+        memory_store = self._memory_store
+        drained = 0
+        while sb_queue and self._drains_outstanding < max_drains:
             address, value, _size = sb_queue.popleft()
+            drained += 1
             # write combining: fold adjacent queued stores to the same
             # line into one transaction (streaming produce loops combine
             # a whole line per drain)
             line = address & line_mask
-            extra_words = []
-            while sb_queue:
-                head = sb_queue[0]
-                if (head[0] & line_mask) != line:
-                    break
-                drained.value += 1
-                sb_queue.popleft()
-                extra_words.append((head[0], head[1]))
+            extra_words = None
+            while sb_queue and (sb_queue[0][0] & line_mask) == line:
+                head = sb_queue.popleft()
+                drained += 1
+                if extra_words is None:
+                    extra_words = [(head[0], head[1])]
+                else:
+                    extra_words.append((head[0], head[1]))
             self._drains_outstanding += 1
             self._stores_inflight += 1
-            translation = translate(address, is_store=True)
-            memory_store(translation, value, self._store_complete_cb,
-                         extra_words=extra_words,
-                         on_accept=self._drain_accepted_cb)
+            memory_store(translate(address, True), value,
+                         self._store_complete_cb, extra_words,
+                         self._drain_accepted_cb)
+        self._sb_drained.value += drained
 
     def _drain_accepted(self) -> None:
         """The memory system took the store; free its drain slot."""
         self._drains_outstanding -= 1
-        self._kick_drain()
-        if self._stalled_on_store is not None:
-            self._stalled_on_store = None
-            self.queue.post_after(0, self._issue_next)
+        if self._sb_queue:
+            self._kick_drain()
+        if self._stalled_on_store:
+            self._stalled_on_store = False
+            self._post_after(0, self._issue_next_cb)
 
     def _store_complete(self, _result) -> None:
         """The store is globally performed (fill/forward finished)."""
         self._stores_inflight -= 1
-        self._maybe_finish()
+        if not self._stores_inflight:
+            self._maybe_finish()
 
     def release(self) -> None:
         """Drop the last phase's ops once the run is done."""
         self._ops = []
-        self._stalled_on_store = None
+        self._kinds = []
+        self._deltas = []
+        self._num_ops = 0
+        self._stalled_on_store = False
 
     def _maybe_finish(self) -> None:
-        if (self._running and self._next_op >= len(self._ops)
-                and self.store_buffer.is_empty
+        if (self._running and self._next_op >= self._num_ops
+                and not self._sb_queue
                 and self._drains_outstanding == 0
                 and self._stores_inflight == 0
-                and self._stalled_on_store is None):
+                and not self._stalled_on_store):
             self._running = False
             on_done = self._on_done
             self._on_done = None

@@ -18,7 +18,7 @@ Routing (paper Fig. 2, left):
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.coherence.hammer import AccessResult, HammerSystem
 from repro.coherence.port import CoherentPort
@@ -55,8 +55,18 @@ class CpuMemorySubsystem:
         self.forward_enabled = forward_enabled
         self.stats = StatsRegistry(name)
         self._line_mask = ~(engine.line_size - 1)
-        #: dedicated-network flight latency, cached on first forward
-        self._ds_lat: Optional[int] = None
+        self._agent_name = port.agent_name
+        self._l1_line_get = l1d._line_map.get
+        self._l1_line_shift = l1d.layout.line_shift
+        self._post_at = queue.post_at
+        self._period_ticks = clock.period_ticks
+        #: L1 latency in ticks (a page-table walk adds to it)
+        self._l1_hit_ticks = l1_latency_cycles * clock.period_ticks
+        #: slice name -> ticks from a forward's acceptance to its ready
+        #: tick (the slice's tag lookup plus the dedicated network's
+        #: flight latency), resolved on each slice's first forward: the
+        #: slices and the network attach after this subsystem is built
+        self._accept_offsets: Dict[str, int] = {}
         #: the local L2 array's probe, resolved on first install (the
         #: agent registers with the engine after the port is built)
         self._l2_probe: Optional[Callable] = None
@@ -79,9 +89,12 @@ class CpuMemorySubsystem:
         probe, and by the L2 array before it copies an eviction victim —
         so snoopers and writebacks always observe the newest data.
         """
-        l1_line = self.l1d.probe(line_address)
-        if l1_line is None or not l1_line.dirty:
+        # every remote store calls this hook: probe the L1D line map
+        # in place
+        l1_entry = self._l1_line_get(line_address >> self._l1_line_shift)
+        if l1_entry is None or not l1_entry[1].dirty:
             return
+        l1_line = l1_entry[1]
         l2_line = self.port.engine.agents[self.port.agent_name].cache.probe(
             line_address)
         if l2_line is None:
@@ -93,10 +106,6 @@ class CpuMemorySubsystem:
         l2_line.dirty = True
         l1_line.dirty = False
 
-    def _l1_ticks(self, extra_cycles: int = 0) -> int:
-        return (self.l1_latency_cycles + extra_cycles) \
-            * self.clock.period_ticks
-
     # ------------------------------------------------------------------
     # loads
     # ------------------------------------------------------------------
@@ -105,16 +114,16 @@ class CpuMemorySubsystem:
         """Issue one CPU load; *callback* fires when data is available."""
         self._loads.increment()
         now = self.queue.current_tick
+        t_l1 = (now + self._l1_hit_ticks
+                + translation.walk_cycles * self._period_ticks)
         if translation.ds_window and self.forward_enabled:
             # window data: uncached read from the home
             self._uncached.increment()
             result = self.engine.uncached_load(
-                self.port.agent_name, translation.physical_address,
-                now + self._l1_ticks(translation.walk_cycles))
+                self.port.agent_name, translation.physical_address, t_l1)
             self.queue.post_at(result.ready_tick,
                                partial(callback, result))
             return
-        t_l1 = now + self._l1_ticks(translation.walk_cycles)
         line = self.l1d.lookup(translation.physical_address)
         if line is not None:
             word = None
@@ -134,6 +143,9 @@ class CpuMemorySubsystem:
 
     def _install_l1(self, physical_address: int) -> None:
         """Copy the (now-resident) L2 line up into the L1D."""
+        if self._l1_line_get(physical_address >> self._l1_line_shift) \
+                is not None:
+            return  # installed by an earlier access to the line
         l2_probe = self._l2_probe
         if l2_probe is None:
             l2_probe = self._l2_probe = self.port.engine.agents[
@@ -141,8 +153,6 @@ class CpuMemorySubsystem:
         l2_line = l2_probe(physical_address)
         if l2_line is None:
             return  # evicted again already; skip the install
-        if self.l1d.probe(physical_address) is not None:
-            return
         data = dict(l2_line.data) if l2_line.data is not None else None
         self.l1d.fill(physical_address, "V", self.queue.current_tick, data)
 
@@ -167,75 +177,70 @@ class CpuMemorySubsystem:
         self._stores.value += n_words
         now = self.queue.current_tick
         physical_address = translation.physical_address
-        if translation.direct_store and self.forward_enabled:
-            self._forwarded.value += n_words
-            line_address = physical_address & self._line_mask
-            slice_name = self.slice_router(line_address)
-            # same line ⇒ same page: translate extras by offset
-            if extra_words:
-                base = physical_address - translation.virtual_address
-                physical_extras = [(base + va, word_value)
-                                   for va, word_value in extra_words]
-            else:
-                physical_extras = ()
-            result = self.engine.remote_store(
-                self.port.agent_name, slice_name,
-                physical_address, value, now,
-                extra_words=physical_extras)
-            if on_accept is not None:
-                # the drain slot is held until the dedicated link has
-                # serialised the message (its backpressure point): the
-                # remote tag lookup + flight latency happen beyond it
-                dst_agent = self.engine.agents[slice_name]
-                ds_lat = self._ds_lat
-                if ds_lat is None:
-                    ds_lat = self._ds_lat = self._ds_latency_ticks()
-                accept_tick = max(now, result.ready_tick
-                                  - dst_agent.tag_ticks - ds_lat)
-                self.queue.post_at(accept_tick, on_accept)
-            self.queue.post_at(result.ready_tick,
-                               partial(callback, result))
-            return
-        # write-back, write-allocate: a hit retires in the L1
-        t_l1 = now + self._l1_ticks(translation.walk_cycles)
+        # same line => same page: translate extras by offset
         if extra_words:
             base = physical_address - translation.virtual_address
             physical_extras = [(base + va, word_value)
                                for va, word_value in extra_words]
         else:
             physical_extras = ()
-        line = self.l1d.lookup(translation.physical_address)
+        if translation.direct_store and self.forward_enabled:
+            self._forwarded.value += n_words
+            slice_name = self.slice_router(physical_address & self._line_mask)
+            result = self.engine.remote_store(
+                self._agent_name, slice_name, physical_address, value, now,
+                physical_extras)
+            ready = result.ready_tick
+            if on_accept is not None:
+                # the drain slot is held until the dedicated link has
+                # serialised the message (its backpressure point): the
+                # remote tag lookup + flight latency happen beyond it
+                offset = self._accept_offsets.get(slice_name)
+                if offset is None:
+                    offset = self._accept_offset(slice_name)
+                accept_tick = ready - offset
+                self._post_at(accept_tick if accept_tick > now else now,
+                              on_accept)
+            self._post_at(ready, partial(callback, result))
+            return
+        # write-back, write-allocate: a hit retires in the L1
+        t_l1 = (now + self._l1_hit_ticks
+                + translation.walk_cycles * self._period_ticks)
+        line = self.l1d.lookup(physical_address)
         if line is not None:
-            self._write_l1_word(line, translation.physical_address, value)
+            self._write_l1_word(line, physical_address, value)
             for word_pa, word_value in physical_extras:
                 self._write_l1_word(line, word_pa, word_value)
             result = AccessResult(t_l1, value, True, "local")
             if on_accept is not None:
-                self.queue.post_at(t_l1, on_accept)
-            self.queue.post_at(t_l1, partial(callback, result))
+                self._post_at(t_l1, on_accept)
+            self._post_at(t_l1, partial(callback, result))
             return
 
         def _on_filled(result: AccessResult) -> None:
             # the L2 now holds the line in MM with the first word written;
             # merge the combined words, then allocate the L1 copy so
             # subsequent stores hit locally
-            l2_line = self.engine.agents[self.port.agent_name].cache.probe(
-                translation.physical_address)
-            if l2_line is not None:
-                for word_pa, word_value in physical_extras:
-                    self.engine._write_word(l2_line, word_pa, word_value)
-            self._install_l1(translation.physical_address)
+            if physical_extras:
+                l2_line = self.engine.agents[self._agent_name].cache.probe(
+                    physical_address)
+                if l2_line is not None:
+                    for word_pa, word_value in physical_extras:
+                        self.engine._write_word(l2_line, word_pa, word_value)
+            self._install_l1(physical_address)
             callback(result)
 
-        self.port.store(translation.physical_address, value, _on_filled,
+        self.port.store(physical_address, value, _on_filled,
                         on_accept=on_accept)
 
-    def _ds_latency_ticks(self) -> int:
-        """Flight latency of the dedicated network, in ticks."""
-        if self.engine.ds_network is None:
-            return 0
-        return self.engine.ds_network.clock.cycles_to_ticks(
-            self.engine.ds_network.latency_cycles)
+    def _accept_offset(self, slice_name: str) -> int:
+        """Resolve and cache a slice's acceptance offset (see __init__)."""
+        ds_network = self.engine.ds_network
+        flight = (0 if ds_network is None else
+                  ds_network.clock.cycles_to_ticks(ds_network.latency_cycles))
+        offset = self.engine.agents[slice_name].tag_ticks + flight
+        self._accept_offsets[slice_name] = offset
+        return offset
 
     def _write_l1_word(self, line, physical_address: int,
                        value: Optional[int]) -> None:

@@ -24,6 +24,9 @@ class MessageClass(Enum):
     #: a direct-store forward: header + one written word, not a full line
     STORE_FORWARD = "store_forward"
 
+    #: identity hash: classes key the per-send wire-size tables
+    __hash__ = object.__hash__
+
     def size_bytes(self, line_size: int) -> int:
         """Wire size of a message of this class."""
         if self in (MessageClass.DATA, MessageClass.WRITEBACK):

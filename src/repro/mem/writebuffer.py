@@ -59,12 +59,17 @@ class WriteBuffer:
             raise IndexError(f"{self.name}: peek at empty write buffer")
         return self._queue[0]
 
-    def forwards(self, address: int) -> Optional[int]:
-        """Store-to-load forwarding: youngest buffered value for *address*."""
+    def forwards(self, address: int) -> Tuple[bool, Optional[int]]:
+        """Store-to-load forwarding: ``(True, value)`` of the youngest
+        buffered store to *address*, or ``(False, None)``.
+
+        The match is reported apart from the value: a store without a
+        tracked value (``None``) still forwards.
+        """
         for buffered_address, value, _size in reversed(self._queue):
             if buffered_address == address:
-                return value
-        return None
+                return True, value
+        return False, None
 
     def __len__(self) -> int:
         return len(self._queue)

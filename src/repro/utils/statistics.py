@@ -91,6 +91,14 @@ class Histogram:
         # first bound >= value, or len(bounds) = the overflow bucket
         self.buckets[bisect_left(self.bounds, value)] += 1
 
+    def reset(self) -> None:
+        """Drop every sample, keeping the buckets' bounds."""
+        self.buckets = [0] * (len(self.bounds) + 1)
+        self.total_samples = 0
+        self.total_value = 0
+        self.min_value = None
+        self.max_value = None
+
     @property
     def mean(self) -> float:
         if self.total_samples == 0:
@@ -144,10 +152,9 @@ class StatsRegistry:
             counter.reset()
         for ratio in self._ratios.values():
             ratio.reset()
-        # histograms are cheap to rebuild; recreate in place
-        for name, hist in list(self._histograms.items()):
-            self._histograms[name] = Histogram(
-                hist.name, hist.bounds, hist.description)
+        # in place, like the counters: components hold their histograms
+        for hist in self._histograms.values():
+            hist.reset()
 
     def dump(self) -> Dict[str, float]:
         """Return a flat ``{qualified_name: value}`` snapshot."""

@@ -14,7 +14,7 @@ from typing import List, Sequence
 
 from repro.telemetry.tracer import TRACER
 from repro.utils.statistics import StatsRegistry
-from repro.vm.pagetable import PageTable
+from repro.vm.pagetable import PAGE_SIZE, PageTable
 from repro.vm.tlb import TLB
 
 
@@ -57,6 +57,16 @@ class MMU:
         self.stats = StatsRegistry(name)
         self._translations = self.stats.counter("translations")
         self._walks = self.stats.counter("page_table_walks")
+        # translate() does the TLB's detector compare, window compare
+        # and VPN probe in place; the TLB's geometry is fixed once built
+        self._detector_enabled = tlb.detector_enabled
+        self._window_low = tlb.window_base
+        self._window_high = tlb.window_base + tlb.window_size
+        self._tlb_entries = tlb._entries
+        self._tlb_hits = tlb._hits
+        self._tlb_misses = tlb._misses
+        self._ds_detections = tlb._ds_detections
+        self._page_size = page_table.page_size
 
     def translate(self, virtual_address: int,
                   is_store: bool = False) -> Translation:
@@ -65,23 +75,40 @@ class MMU:
         Demand mapping stands in for the OS page-fault handler: gem5's
         syscall-emulation mode does the same, so first-touch latency is
         charged as a table walk rather than a full fault.
+
+        Statistics, LRU motion and trace events are those of
+        :meth:`TLB.detect_direct_store`, :meth:`TLB.in_window` and
+        :meth:`TLB.lookup` (then :meth:`TLB.insert` on a miss), done
+        inline: this runs once per CPU access.
         """
-        self._translations.increment()
-        direct = self.tlb.detect_direct_store(virtual_address, is_store)
-        in_window = self.tlb.in_window(virtual_address)
-        pfn = self.tlb.lookup(virtual_address)
+        self._translations.value += 1
+        in_window = self._window_low <= virtual_address < self._window_high
+        if in_window and is_store and self._detector_enabled:
+            direct = True
+            self._ds_detections.value += 1
+            if TRACER.enabled:
+                TRACER.instant("direct_store", "ds_detect", TRACER.now(),
+                               track=self.tlb.name,
+                               args={"va": virtual_address})
+        else:
+            direct = False
+        page_size = self._page_size
+        vpn = virtual_address // PAGE_SIZE
+        entries = self._tlb_entries
+        pfn = entries.get(vpn)
         if pfn is not None:
-            physical = (pfn * self.page_table.page_size
-                        + (virtual_address % self.page_table.page_size))
-            return Translation(virtual_address, physical, True, 0, direct,
-                               in_window)
-        self._walks.increment()
+            entries.move_to_end(vpn)
+            self._tlb_hits.value += 1
+            return Translation(virtual_address,
+                               pfn * page_size + virtual_address % page_size,
+                               True, 0, direct, in_window)
+        self._tlb_misses.value += 1
+        self._walks.value += 1
         if TRACER.enabled:
             TRACER.instant("tlb", "walk", TRACER.now(), track=self.name,
                            args={"va": virtual_address})
         physical = self.page_table.translate_or_map(virtual_address)
-        self.tlb.insert(virtual_address,
-                        physical // self.page_table.page_size)
+        self.tlb.insert(virtual_address, physical // page_size)
         return Translation(virtual_address, physical, False,
                            self.walk_cycles, direct, in_window)
 

@@ -41,6 +41,9 @@ class OpKind(Enum):
     COMPUTE = "compute"
     SHMEM = "shmem"  # GPU software-managed shared memory access
 
+    #: identity hash, as for the other hot enum keys
+    __hash__ = object.__hash__
+
 
 @dataclass(slots=True)
 class CpuOp:

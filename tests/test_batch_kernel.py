@@ -13,7 +13,7 @@ The workloads are shaped to force the kernel's fallback/rare paths:
 
 * a small line pool with same-tick bursts → pending-line races (MSHR
   merges and the kernel's ``_replay`` re-issue);
-* tiny MSHR files → full-file parking and the reference-path drain;
+* tiny MSHR files → full-file parking and the fused drain;
 * a two-bank DRAM → bank conflicts (busy-until queueing).
 """
 
@@ -150,9 +150,10 @@ def test_stress_shape_reaches_the_fallback_paths(monkeypatch):
 def test_park_and_drain_matches_scalar_path(monkeypatch):
     """Directed MSHR-full case: 8 distinct lines through 2 entries.
 
-    Every parked request drains through the reference ``_request``
-    even with the kernel installed; the two paths must interleave the
-    completions identically.
+    With the kernel installed every parked request drains through the
+    fused walk (``PortBatchKernel.drain_waiting``); with
+    ``REPRO_BATCH_KERNEL=0`` through the reference ``_request``.  The
+    two paths must interleave the completions identically.
     """
     outcomes = {}
     for kernel in (True, False):
@@ -170,3 +171,43 @@ def test_park_and_drain_matches_scalar_path(monkeypatch):
         sim.run()
         outcomes[kernel] = (log, sim.now, sim.events_fired)
     assert outcomes[True] == outcomes[False]
+
+
+def test_untraced_kernel_run_never_enters_layered_path(monkeypatch):
+    """PT small under CCSM parks GPU-slice stores on full MSHR files.
+
+    With the kernel on, an untraced run issues, replays and drains
+    every request through the fused walk, so the layered
+    ``CoherentPort._request`` is never called; with
+    ``REPRO_BATCH_KERNEL=0`` it carries every request.  Both runs
+    reproduce the committed ``perfbench/reference.json`` signature.
+    """
+    import sys
+    from pathlib import Path
+
+    from repro.core.protocol_mode import CoherenceMode
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                           / "perfbench"))
+    from suite import (BASE_CTX_SEED, load_reference, point_key,
+                       run_point, signature)
+
+    layered = CoherentPort._request
+    calls = []
+
+    def counting_request(self, *args, **kwargs):
+        calls.append(self.name)
+        return layered(self, *args, **kwargs)
+
+    monkeypatch.setattr(CoherentPort, "_request", counting_request)
+    expected = load_reference()["points"][point_key("PT",
+                                                    CoherenceMode.CCSM)]
+    observed = {}
+    for knob in ("1", "0"):
+        monkeypatch.setenv("REPRO_BATCH_KERNEL", knob)
+        calls.clear()
+        result = run_point("PT", CoherenceMode.CCSM, BASE_CTX_SEED)
+        observed[knob] = len(calls)
+        assert signature(result) == expected, knob
+    assert observed["1"] == 0
+    assert observed["0"] > 0

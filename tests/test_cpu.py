@@ -86,13 +86,26 @@ class TestStoreBuffer:
         assert system.cpu_l2.accesses < 64
 
     def test_store_to_load_forwarding(self, tiny_config):
-        def ops(buffers):
-            base = buffers["heap"]
-            return ([CpuOp.store(base + i * 32, i) for i in range(8)]
-                    + [CpuOp.load(base)])
+        """A load of a still-buffered store is served by the store
+        buffer, with or without a tracked value.  40 stores to distinct
+        lines back the 16-entry buffer up behind its 4 drain slots, so
+        the last one is still buffered when the load of its address
+        issues; a forwarded load records no load-latency sample."""
+        for value in (7, None):
+            def ops(buffers, value=value):
+                base = buffers["heap"]
+                stores = [CpuOp.store(base + i * 128, value)
+                          for i in range(40)]
+                return stores + [CpuOp.load(base + 39 * 128)]
 
-        system, _w, _r = run_cpu_ops(tiny_config, CoherenceMode.CCSM, ops)
-        system.check_invariants()
+            system, _w, _r = run_cpu_ops(tiny_config, CoherenceMode.CCSM,
+                                         ops)
+            stats = system.cpu_core.stats.dump()
+            assert stats["cpu.core.ops_executed"] == 41.0
+            assert stats["cpu.core.store_buffer_stall_events"] > 0, value
+            assert stats["cpu.core.load_latency_ticks.samples"] == 0.0, \
+                value
+            system.check_invariants()
 
 
 class TestDirectStoreRouting:
@@ -164,3 +177,55 @@ class TestWritebackL1:
         loads = [value for _addr, value in system.sms[0].loaded_values]
         assert loads == [22]
         system.check_invariants()
+
+    # The two tests below pin known gaps of the write-back L1D (see
+    # ROADMAP).  Closing them adds upgrades and writebacks, which moves
+    # the ticks and statistics of the committed suite record.
+
+    @pytest.mark.xfail(strict=True, reason="a store that hits the L1D "
+                       "retires there even when the L2 holds the line "
+                       "in O or S, so other copies are not invalidated")
+    def test_store_hit_on_shared_line_upgrades(self, tiny_config):
+        from repro.workloads.trace import KernelLaunch, WarpOp, WarpProgram
+
+        class _ShareThenStore(Workload):
+            code = "XX"
+            name = "share"
+
+            def build(self, ctx):
+                self.base = ctx.alloc("buf", 4096, False)
+                return [CpuPhase("p1", [CpuOp.store(self.base, 1)]),
+                        KernelLaunch("k", [WarpProgram(
+                            [WarpOp.load([self.base])])]),
+                        CpuPhase("p2", [CpuOp.store(self.base, 2)])]
+
+        system = IntegratedSystem(tiny_config, CoherenceMode.CCSM)
+        workload = _ShareThenStore("small")
+        system.run(workload)
+        pa = system.page_table.translate(workload.base)
+        # the second store must take the line exclusive (an upgrade),
+        # invalidating the GPU's shared copy of the old word
+        assert system.engine.stats.counter("upgrades").value >= 1
+        assert all(cache.probe(pa) is None
+                   for cache in system.gpu_l2_slices)
+
+    @pytest.mark.xfail(strict=True, reason="a dirty L1D victim is "
+                       "dropped: nothing writes it back to the L2")
+    def test_dirty_l1_victim_written_back(self, tiny_config):
+        def ops(buffers):
+            base = buffers["heap"]
+            # the compute gap lets the first store fill the line before
+            # the second arrives, so the second hits (and dirties) the
+            # L1D copy instead of combining or merging with the first
+            return ([CpuOp.store(base, 1), CpuOp.compute(5000),
+                     CpuOp.store(base, 2), CpuOp.compute(5000)]
+                    + [CpuOp.load(base + 128 * (1 + i)) for i in range(128)]
+                    + [CpuOp.load(base)])
+
+        system, workload, _r = run_cpu_ops(tiny_config, CoherenceMode.CCSM,
+                                           ops)
+        pa = system.page_table.translate(workload.buffers["heap"])
+        # the reload refilled the L1D from the L2: it must see word 2
+        line = system.cpu_l1d.probe(pa)
+        assert line is not None and line.data is not None
+        assert line.data.get((pa % 128) // 4) == 2

@@ -84,8 +84,13 @@ class TestWriteBuffer:
         buffer = WriteBuffer("wb", 4)
         buffer.push(0x10, 1)
         buffer.push(0x10, 2)
-        assert buffer.forwards(0x10) == 2
-        assert buffer.forwards(0x20) is None
+        assert buffer.forwards(0x10) == (True, 2)
+        assert buffer.forwards(0x20) == (False, None)
+
+    def test_valueless_store_still_forwards(self):
+        buffer = WriteBuffer("wb", 4)
+        buffer.push(0x10)
+        assert buffer.forwards(0x10) == (True, None)
 
     def test_is_empty(self):
         buffer = WriteBuffer("wb", 2)

@@ -105,6 +105,21 @@ class TestStatsRegistry:
         assert snapshot["u.r.denominator"] == 0.0
         assert snapshot["u.h.samples"] == 0.0
 
+    def test_reset_keeps_held_histogram_registered(self):
+        """Components keep the histogram they created; a sample recorded
+        through that reference after ``reset()`` must reach ``dump()``."""
+        registry = StatsRegistry("u")
+        held = registry.histogram("h", [10, 100])
+        held.record(5)
+        registry.reset()
+        assert registry.histogram("h", [10, 100]) is held
+        held.record(50)
+        snapshot = registry.dump()
+        assert snapshot["u.h.samples"] == 1.0
+        assert snapshot["u.h.mean"] == 50.0
+        assert held.buckets == [0, 1, 0]
+        assert (held.min_value, held.max_value) == (50, 50)
+
 
 class TestGeometricMean:
     def test_empty(self):
