@@ -24,7 +24,6 @@ engine against the specification directly.
 """
 
 from repro.coherence.hammer import AccessResult, CoherentAgent, HammerSystem
-from repro.coherence.messages import CoherenceMessage, CoherenceMsgType
 from repro.coherence.protocol_table import (
     PROTOCOL_TABLE,
     ProtocolEvent,
@@ -37,8 +36,6 @@ __all__ = [
     "AccessResult",
     "CoherentAgent",
     "HammerSystem",
-    "CoherenceMessage",
-    "CoherenceMsgType",
     "PROTOCOL_TABLE",
     "ProtocolEvent",
     "ProtocolViolationError",

@@ -12,6 +12,10 @@ point is the memory controller.  A miss walks the protocol:
 4. the requestor collects every response; the *latest* arrival is when
    its fill completes (Hammer must wait for all acks).
 
+Those demand walks — hit, GETS/GETX fetch, S/O upgrade — are one
+:class:`~repro.coherence.batch_kernel.CoherenceWalk` per agent
+(:meth:`HammerSystem.walk`).
+
 The direct-store extension adds :meth:`HammerSystem.remote_store`: the
 CPU-side store is forwarded over the **dedicated network** to the owning
 GPU L2 slice, with the Fig. 3 transitions (always-to-I at the CPU,
@@ -27,20 +31,16 @@ same-line requests in their MSHRs before calling the engine).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Tuple)
 
 from repro.coherence.protocol_table import (
-    LOAD_TRANSITIONS,
-    PROBE_GETS_TRANSITIONS,
-    PROBE_GETX_TRANSITIONS,
     REMOTE_STORE_ARRIVE_TRANSITIONS,
     REMOTE_STORE_LOCAL_TRANSITIONS,
     REPLACEMENT_TRANSITIONS,
-    STORE_TRANSITIONS,
     Action,
     ProtocolEvent,
     ProtocolViolationError,
-    next_state,
 )
 from repro.coherence.states import HammerState
 from repro.engine.clock import ClockDomain
@@ -53,6 +53,9 @@ from repro.mem.memimage import MemoryImage
 from repro.mem.dram import DramModel
 from repro.telemetry.tracer import TRACER
 from repro.utils.statistics import StatsRegistry
+
+if TYPE_CHECKING:
+    from repro.coherence.batch_kernel import CoherenceWalk
 
 #: node name of the memory controller / ordering point
 MEMCTRL = "memctrl"
@@ -161,6 +164,8 @@ class HammerSystem:
         #: agent name -> (agent, cache, line-map get, line shift),
         #: resolved on the agent's first remote store
         self._remote_ends: Dict[str, tuple] = {}
+        #: agent name -> its demand walk, resolved on first use
+        self._walks: Dict[str, "CoherenceWalk"] = {}
         self.stats = StatsRegistry("hammer")
         self._gets = self.stats.counter("gets_requests")
         self._getx = self.stats.counter("getx_requests")
@@ -185,6 +190,11 @@ class HammerSystem:
     def add_agent(self, agent: CoherentAgent) -> None:
         if agent.name in self.agents:
             raise ValueError(f"duplicate agent {agent.name!r}")
+        if self._walks:
+            # a resolved walk's probe targets would miss the newcomer
+            raise RuntimeError(
+                f"agent {agent.name!r} registered after the first "
+                f"coherent access")
         self.agents[agent.name] = agent
 
     @property
@@ -207,64 +217,28 @@ class HammerSystem:
     # demand accesses
     # ------------------------------------------------------------------
 
+    def walk(self, agent_name: str) -> "CoherenceWalk":
+        """The demand walk of *agent_name*
+        (:class:`~repro.coherence.batch_kernel.CoherenceWalk`).
+
+        Built on first use, once every agent is registered, because the
+        walk resolves its probe targets and routes up front.
+        """
+        walk = self._walks.get(agent_name)
+        if walk is None:
+            from repro.coherence.batch_kernel import CoherenceWalk
+            walk = CoherenceWalk(self, self.agents[agent_name])
+            self._walks[agent_name] = walk
+        return walk
+
     def load(self, agent_name: str, address: int, now: int) -> AccessResult:
         """Coherent load at *agent_name*; returns value + completion tick."""
-        agent = self.agents[agent_name]
-        line_address = agent.cache.layout.line_address(address)
-        t_tags = now + agent.tag_ticks
-        line = agent.cache.lookup(address)
-        if line is not None:
-            # table sanity: LOAD must be legal in this state
-            if line.state not in LOAD_TRANSITIONS:
-                raise ProtocolViolationError(line.state, ProtocolEvent.LOAD,
-                                             agent_name)
-            return AccessResult(t_tags, self._read_word(line, address),
-                                True, "local")
-        ready, payload, source = self._fetch(
-            agent, line_address, exclusive=False, now=t_tags)
-        filled = agent.cache.probe(address)
-        assert filled is not None
-        return AccessResult(ready, self._read_word(filled, address),
-                            False, source)
+        return self.walk(agent_name).access(address, None, False, now)
 
     def store(self, agent_name: str, address: int, value: Optional[int],
               now: int) -> AccessResult:
         """Coherent store at *agent_name*."""
-        agent = self.agents[agent_name]
-        line_address = agent.cache.layout.line_address(address)
-        t_tags = now + agent.tag_ticks
-        line = agent.cache.lookup(address)
-        if line is not None:
-            state = line.state
-            transition = STORE_TRANSITIONS.get(state)
-            if transition is None:
-                raise ProtocolViolationError(state, ProtocolEvent.STORE,
-                                             agent_name)
-            new_state, action = transition
-            if action is Action.NONE:            # MM
-                self._write_word(line, address, value)
-                return AccessResult(t_tags, value, True, "local")
-            if action is Action.SILENT_UPGRADE:  # M -> MM, no traffic
-                line.state = new_state
-                self._write_word(line, address, value)
-                self._trace(agent_name, line_address, "Store(silent)",
-                            state, new_state, t_tags)
-                return AccessResult(t_tags, value, True, "local")
-            if action is Action.ISSUE_GETX:      # S/O: invalidate others
-                ready = self._upgrade(agent, line_address, t_tags)
-                line.state = HammerState.MM
-                self._write_word(line, address, value)
-                self._trace(agent_name, line_address, "Store(upgrade)",
-                            state, HammerState.MM, ready)
-                return AccessResult(ready, value, True, "local")
-            raise ProtocolViolationError(state, ProtocolEvent.STORE,
-                                         f"unexpected action {action}")
-        ready, _payload, source = self._fetch(
-            agent, line_address, exclusive=True, now=t_tags)
-        filled = agent.cache.probe(address)
-        assert filled is not None
-        self._write_word(filled, address, value)
-        return AccessResult(ready, value, False, source)
+        return self.walk(agent_name).access(address, value, True, now)
 
     def prefetch(self, agent_name: str, address: int, now: int) -> bool:
         """Speculatively fill *address* at *agent_name* (shared state).
@@ -280,8 +254,8 @@ class HammerSystem:
         if agent.cache.probe(line_address) is not None:
             return False
         self._prefetches.increment()
-        self._fetch(agent, line_address, exclusive=False,
-                    now=now + agent.tag_ticks)
+        self.walk(agent_name).fetch(line_address, now + agent.tag_ticks,
+                                    False)
         return True
 
     def uncached_load(self, agent_name: str, address: int,
@@ -490,146 +464,8 @@ class HammerSystem:
         # FORWARD_STORE from I needs no local work
 
     # ------------------------------------------------------------------
-    # protocol walks
+    # replacements
     # ------------------------------------------------------------------
-
-    def _fetch(self, agent: CoherentAgent, line_address: int,
-               exclusive: bool, now: int) -> Tuple[int, object, str]:
-        """Miss handling: GETS/GETX walk; fills the line; returns
-        (ready_tick, payload, source)."""
-        if not agent.may_cache(line_address):
-            raise ProtocolViolationError(
-                HammerState.I,
-                ProtocolEvent.STORE if exclusive else ProtocolEvent.LOAD,
-                f"{agent.name} may not cache line {line_address:#x}")
-        (self._getx if exclusive else self._gets).value += 1
-        t_mc = self._to_memctrl(
-            agent.name, MessageClass.REQUEST, line_address, now)
-
-        if exclusive:
-            probe_event = ProtocolEvent.PROBE_GETX
-            probe_row = PROBE_GETX_TRANSITIONS
-        else:
-            probe_event = ProtocolEvent.PROBE_GETS
-            probe_row = PROBE_GETS_TRANSITIONS
-        response_ticks: List[int] = []
-        owner_payload = None
-        owner_dirty = False
-        owner_found = False
-        sharers_found = False
-
-        for target in self._probe_targets(agent, line_address):
-            t_probe = self._send(MEMCTRL, target.name, MessageClass.REQUEST,
-                                 line_address, t_mc)
-            self._probes.value += 1
-            t_snooped = t_probe + target.tag_ticks
-            if target.on_probe is not None:
-                target.on_probe(line_address)
-            probe_line = target.cache.probe(line_address)
-            if probe_line is None:
-                response_ticks.append(self._send(
-                    target.name, agent.name, MessageClass.RESPONSE,
-                    line_address, t_snooped))
-                continue
-            state = probe_line.state
-            transition = probe_row.get(state)
-            if transition is None:
-                raise ProtocolViolationError(state, probe_event, target.name)
-            new_state, action = transition
-            if action is Action.SUPPLY_DATA:
-                owner_found = True
-                owner_dirty = probe_line.dirty
-                if probe_line.data is not None:
-                    owner_payload = dict(probe_line.data)
-                if exclusive:
-                    removed = target.cache.invalidate(line_address)
-                    assert removed is not None
-                    if target.on_back_invalidate is not None:
-                        target.on_back_invalidate(line_address)
-                    self._trace(target.name, line_address, "ProbeGETX",
-                                state, HammerState.I, t_snooped)
-                else:
-                    probe_line.state = new_state  # MM/M -> O
-                    self._trace(target.name, line_address, "ProbeGETS",
-                                state, new_state, t_snooped)
-                response_ticks.append(self._send(
-                    target.name, agent.name, MessageClass.DATA,
-                    line_address, t_snooped))
-            else:  # SEND_ACK (I stays I; S acks, invalidating on GETX)
-                if state is HammerState.S:
-                    sharers_found = True
-                    if exclusive:
-                        target.cache.invalidate(line_address)
-                        if target.on_back_invalidate is not None:
-                            target.on_back_invalidate(line_address)
-                        self._trace(target.name, line_address,
-                                    "ProbeGETX", state, HammerState.I,
-                                    t_snooped)
-                response_ticks.append(self._send(
-                    target.name, agent.name, MessageClass.RESPONSE,
-                    line_address, t_snooped))
-
-        if owner_found:
-            self._owner_transfers.value += 1
-            payload = owner_payload
-            source = "owner"
-        else:
-            # speculative memory fetch (Hammer always reads memory)
-            self._memory_fetches.value += 1
-            dram_ready = self.dram.access(line_address, t_mc)
-            response_ticks.append(self._send(
-                MEMCTRL, agent.name, MessageClass.DATA, line_address,
-                dram_ready))
-            payload = (self.image.read_line(line_address)
-                       if self.image is not None else None)
-            source = "memory"
-
-        ready = max(response_ticks) if response_ticks else t_mc
-        if exclusive:
-            fill_state = HammerState.MM
-            dirty = owner_dirty
-        elif owner_found or sharers_found:
-            fill_state = HammerState.S
-            dirty = False
-        else:
-            fill_state = HammerState.M  # exclusive-clean grant
-            dirty = False
-        victim = agent.cache.fill(line_address, fill_state, ready,
-                                  payload, dirty)
-        if victim is not None:
-            self._handle_victim(agent, victim[0], victim[1], ready)
-        self._trace(agent.name, line_address,
-                    "Store(fill)" if exclusive else "Load(fill)",
-                    HammerState.I, fill_state, ready)
-        return ready, payload, source
-
-    def _upgrade(self, agent: CoherentAgent, line_address: int,
-                 now: int) -> int:
-        """S/O → MM: invalidate every other copy, keep local data."""
-        self._upgrades.value += 1
-        t_mc = self._to_memctrl(agent.name, MessageClass.REQUEST,
-                                line_address, now)
-        response_ticks = [t_mc]
-        for target in self._probe_targets(agent, line_address):
-            t_probe = self._send(MEMCTRL, target.name, MessageClass.REQUEST,
-                                 line_address, t_mc)
-            self._probes.value += 1
-            t_snooped = t_probe + target.tag_ticks
-            if target.on_probe is not None:
-                target.on_probe(line_address)
-            probe_line = target.cache.probe(line_address)
-            if probe_line is not None:
-                if probe_line.state not in PROBE_GETX_TRANSITIONS:
-                    raise ProtocolViolationError(
-                        probe_line.state, ProtocolEvent.PROBE_GETX,
-                        target.name)
-                target.cache.invalidate(line_address)
-                if target.on_back_invalidate is not None:
-                    target.on_back_invalidate(line_address)
-            response_ticks.append(self._send(
-                target.name, agent.name, MessageClass.RESPONSE,
-                line_address, t_snooped))
-        return max(response_ticks)
 
     def evict(self, agent_name: str, address: int, now: int) -> None:
         """Explicit eviction (cache flush); applies Fig. 3 replacement."""
@@ -651,22 +487,6 @@ class HammerSystem:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-
-    def _probe_targets(self, requestor: CoherentAgent,
-                       line_address: int) -> List[CoherentAgent]:
-        """Agents that must be probed for *line_address*.
-
-        Hammer broadcasts to everyone; we skip agents whose interleaving
-        provably excludes the line (GPU slices for other slices' lines,
-        the CPU agent for direct-store lines) — those probes would be
-        no-ops in hardware too.  With broadcasting disabled (standalone
-        direct store, §III-H) nothing is probed.
-        """
-        if not self.broadcast_enabled:
-            return []
-        return [agent for agent in self.agents.values()
-                if agent is not requestor
-                and agent.probe_filter(line_address)]
 
     def _handle_victim(self, agent: CoherentAgent, line_address: int,
                        victim: CacheLine, now: int) -> None:
@@ -776,7 +596,9 @@ class HammerSystem:
                     f"line {line_address:#x} exclusive at {exclusives[0]} "
                     f"but also cached at "
                     f"{[n for n, _ in copies if n != exclusives[0]]}")
-            if self.image is not None and owners:
+            if self.image is None:
+                continue
+            if owners:
                 _owner_name, owner_line = owners[0]
                 if owner_line.data is None:
                     continue
@@ -786,3 +608,13 @@ class HammerSystem:
                     assert line.data == owner_line.data, (
                         f"line {line_address:#x}: copy at {name} diverges "
                         f"from owner")
+                continue
+            memory = self.image.read_line(line_address)
+            for name, line in copies:
+                if line.data is None:
+                    continue
+                for offset in memory.keys() | line.data.keys():
+                    assert (line.data.get(offset, 0)
+                            == memory.get(offset, 0)), (
+                        f"line {line_address:#x}: copy at {name} diverges "
+                        f"from memory at word {offset}")

@@ -61,9 +61,3 @@ class GpuDevice:
             self._on_done = None
             assert on_done is not None
             on_done(self._finish_tick)
-
-    def total_l1_misses(self) -> int:
-        return sum(sm.l1.misses for sm in self.sms)
-
-    def total_l1_accesses(self) -> int:
-        return sum(sm.l1.accesses for sm in self.sms)

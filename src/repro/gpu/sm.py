@@ -193,10 +193,6 @@ class StreamingMultiprocessor:
             return
         self._schedule_issue()
 
-    @property
-    def warps_resident(self) -> int:
-        return len(self._warps)
-
     # ------------------------------------------------------------------
     # scheduler
     # ------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.config import SystemConfig
 from repro.core.metrics import RunResult
@@ -78,13 +78,3 @@ def compare_modes(code: str, input_size: str,
         direct_store=run_benchmark(code, input_size, ds_mode, base_config,
                                    telemetry=telemetry),
     )
-
-
-def compare_all_modes(code: str, input_size: str,
-                      config: Optional[SystemConfig] = None,
-                      telemetry: Optional[TelemetrySettings] = None,
-                      ) -> Dict[CoherenceMode, RunResult]:
-    """Run one benchmark under every coherence mode."""
-    return {mode: run_benchmark(code, input_size, mode, config,
-                                telemetry=telemetry)
-            for mode in CoherenceMode}

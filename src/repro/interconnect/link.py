@@ -83,56 +83,6 @@ class Link:
             self._prune(epoch)
         return finish + self._latency_ticks
 
-    def send_run(self, size_bytes: int, now_ticks: "list",
-                 out: "list") -> None:
-        """Book a run of same-size messages; append arrivals to *out*.
-
-        Equivalent to calling :meth:`send` once per element of
-        *now_ticks* in order — the batched coherence kernel uses this
-        for fan-outs that book the same link back to back (e.g. the
-        memory controller's probe broadcasts), paying the attribute
-        loads once per run instead of once per message.
-        """
-        count = len(now_ticks)
-        self._message_count += count
-        self._byte_count += size_bytes * count
-        used = self._epoch_used
-        used_get = used.get
-        epoch_ticks = self._epoch_ticks
-        capacity = self._epoch_capacity
-        latency = self._latency_ticks
-        ideal_ticks = (-(-size_bytes // self.bytes_per_cycle)
-                       * self._period)
-        queue_delay = 0
-        append = out.append
-        for now_tick in now_ticks:
-            epoch = now_tick // epoch_ticks
-            booked = used_get(epoch, 0)
-            if booked + size_bytes <= capacity:
-                used[epoch] = booked + size_bytes
-            else:
-                remaining = size_bytes
-                while True:
-                    free = capacity - booked
-                    if free > 0:
-                        taken = free if free < remaining else remaining
-                        used[epoch] = booked + taken
-                        remaining -= taken
-                        if remaining == 0:
-                            break
-                    epoch += 1
-                    booked = used_get(epoch, 0)
-            finish = (epoch * epoch_ticks
-                      + (used[epoch] * epoch_ticks) // capacity)
-            ideal = now_tick + ideal_ticks
-            if finish < ideal:
-                finish = ideal
-            queue_delay += finish - ideal
-            if len(used) > 4096:
-                self._prune(epoch)
-            append(finish + latency)
-        self._queue_delay_total += queue_delay
-
     def _prune(self, current_epoch: int) -> None:
         """Drop booking state far behind the send frontier."""
         cutoff = current_epoch - 1024

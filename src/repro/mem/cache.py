@@ -330,11 +330,6 @@ class SetAssociativeCache:
         """Number of valid lines."""
         return sum(1 for _, _line in self.resident_lines())
 
-    def for_each_line(self, visit: Callable[[int, CacheLine], None]) -> None:
-        """Apply *visit(line_address, line)* to every valid line."""
-        for line_addr, line in self.resident_lines():
-            visit(line_addr, line)
-
     @property
     def accesses(self) -> int:
         return self._accesses.value

@@ -9,7 +9,7 @@ ranked frontier.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.model.analytic import ModeledPoint
 
@@ -67,11 +67,3 @@ def rank_frontier(frontier: Sequence[ModeledPoint]
 
     return sorted(frontier,
                   key=lambda p: (knee_distance(p), p.candidate.key()))
-
-
-def dominance_counts(points: Sequence[ModeledPoint]
-                     ) -> Dict[str, int]:
-    """Summary counts for the report."""
-    frontier, dominated = pareto_frontier(points)
-    return {"scored": len(points), "frontier": len(frontier),
-            "dominated": dominated}

@@ -65,7 +65,6 @@ MODULE_LAYER: Dict[str, str] = {
     "repro.coherence.hammer": "protocol",
     "repro.coherence.protocol_table": "protocol",
     "repro.coherence.states": "protocol",
-    "repro.coherence.messages": "protocol",
     "repro.mem.dram": "dram",
     "repro.mem.memimage": "dram",
     "repro.interconnect.network": "network",

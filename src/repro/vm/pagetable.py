@@ -55,10 +55,6 @@ class PhysicalFrameAllocator:
         self._next_frame += 1
         return frame
 
-    @property
-    def frames_used(self) -> int:
-        return self._next_frame
-
 
 class PageTable:
     """Flat VPN→PFN map with demand paging."""

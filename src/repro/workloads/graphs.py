@@ -61,7 +61,3 @@ def csr_arrays(graph: nx.Graph) -> Tuple[List[int], List[int]]:
         column_indices.extend(neighbors)
         row_offsets.append(len(column_indices))
     return row_offsets, column_indices
-
-
-def edge_count(graph: nx.Graph) -> int:
-    return graph.number_of_edges()

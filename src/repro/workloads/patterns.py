@@ -209,16 +209,6 @@ def gather_warps(base: int, nbytes: int, num_warps: int,
     return programs
 
 
-def shmem_compute_warps(num_warps: int, bursts: int,
-                        cycles_per_burst: int) -> List[WarpProgram]:
-    """Pure scratchpad compute (the inner loops of tiled kernels)."""
-    programs = [WarpProgram() for _ in range(num_warps)]
-    burst_op = WarpOp.shmem(cycles_per_burst)  # immutable: share it
-    for warp in programs:
-        warp.ops.extend([burst_op] * bursts)
-    return programs
-
-
 def merge_warp_programs(*groups: List[WarpProgram]) -> List[WarpProgram]:
     """Concatenate per-warp op lists position-wise.
 

@@ -157,8 +157,8 @@ class TestAttribution:
         profiler = SamplingProfiler()
         sample(profiler, ("repro.coherence.batch_kernel", "_load_hit"))
         sample(profiler, ("repro.coherence.batch_kernel", "_store_hit"))
-        sample(profiler, ("repro.coherence.batch_kernel", "_fetch_fused"))
-        sample(profiler, ("repro.coherence.batch_kernel", "_upgrade_fused"))
+        sample(profiler, ("repro.coherence.batch_kernel", "fetch"))
+        sample(profiler, ("repro.coherence.batch_kernel", "upgrade"))
         sample(profiler, ("repro.gpu.sm", "_translate_line"))
         sample(profiler, ("repro.gpu.sm", "_issue"))
         sample(profiler, ("repro.gpu.sm", "_issue"))

@@ -4,7 +4,10 @@
 * tracing and interval sampling leave ticks and statistics untouched,
   and so does the sampling host-time profiler;
 * a traced run takes the one shipping SM path, which emits one
-  ``warp``/``load_miss`` span per recorded load-miss latency.
+  ``warp``/``load_miss`` span per recorded load-miss latency;
+* a traced run takes the one coherence walk, which emits a fill instant
+  per GETS/GETX, an upgrade instant per upgrade, a crossbar span per
+  message and a cache ``miss`` instant per L2 demand miss.
 
 Run alone with ``python -m pytest -m smoke``.
 """
@@ -112,3 +115,30 @@ def test_one_load_miss_span_per_load_latency_sample(mode):
     assert sum(samples.values()) > 0
     assert spans == {name: count for name, count in samples.items()
                      if count}
+
+
+@pytest.mark.parametrize("code", ["KM", "FW"])
+def test_coherence_walk_traces_every_counted_event(code):
+    system = IntegratedSystem(SystemConfig(track_values=False),
+                              CoherenceMode.CCSM,
+                              telemetry=TelemetrySettings(trace=True))
+    stats = system.run(get_workload(code, "small")).stats
+    assert TRACER.dropped == 0
+    counts = {}
+    for event in TRACER.events:
+        track = event.track if event.category in ("cache", "network") else ""
+        key = (event.category, event.name, track)
+        counts[key] = counts.get(key, 0) + 1
+    coherence = {name: counts.get(("coherence", name, ""), 0)
+                 for name in ("Load(fill)", "Store(fill)", "Store(upgrade)")}
+    assert (coherence["Load(fill)"] + coherence["Store(fill)"]
+            == stats["hammer.gets_requests"] + stats["hammer.getx_requests"]
+            > 0)
+    assert coherence["Store(upgrade)"] == stats["hammer.upgrades"]
+    network = system.network.name
+    assert (sum(count for (category, _name, track), count in counts.items()
+                if category == "network" and track == network)
+            == stats[f"{network}.messages"])
+    for agent in system.engine.agents.values():
+        l2 = agent.cache.name
+        assert counts.get(("cache", "miss", l2), 0) == stats[f"{l2}.misses"]
