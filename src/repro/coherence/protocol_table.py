@@ -207,11 +207,11 @@ REMOTE_STORE_ARRIVE_TRANSITIONS = _BY_EVENT[
 
 
 # ----------------------------------------------------------------------
-# per-event dense rows (the batched-kernel form)
+# per-event dense rows (the coherence walk's form)
 # ----------------------------------------------------------------------
 #
-# The batched coherence kernel (:mod:`repro.coherence.batch_kernel`)
-# classifies messages by integer state index, so each event gets a
+# The coherence walk (:mod:`repro.coherence.batch_kernel`) classifies
+# messages by integer state index, so each event gets a
 # state-indexed row of next-state / action indices (``-1`` = illegal).
 # Like the flat tables above these are *derived* from ``PROTOCOL_TABLE``
 # at import time and carry no information of their own.
