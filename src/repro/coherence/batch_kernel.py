@@ -4,11 +4,13 @@ A demand access either hits, resolving the hit with demand statistics,
 or walks the Hammer protocol: the GETS/GETX fetch of paper Fig. 3, or
 the S/O upgrade of a store that finds a shared copy.
 :class:`CoherenceWalk` does all three for one agent as straight-line
-integer code over constants resolved once per agent:
+code over constants resolved once per agent:
 
-* **Hammer state transitions** — dense per-event ``state-index →
-  action-index`` rows derived from the declarative protocol table
-  (:mod:`repro.coherence.protocol_table`), no enum-tuple hashing;
+* **Hammer state transitions** — every legality check, action and
+  next state is read from the protocol table's per-event
+  ``state → (next_state, action)`` view
+  (:mod:`repro.coherence.protocol_table`), except the exclusive-clean
+  grant of a load miss that finds no other copy;
 * **DRAM bank/row timing** — a bound
   :meth:`~repro.mem.dram.DramModel.access`, called directly;
 * **crossbar booking** — cached ``(egress, ingress, size)`` routes
@@ -36,17 +38,11 @@ from typing import Callable, List, Optional, Tuple
 from repro.coherence.hammer import (MEMCTRL, AccessResult, CoherentAgent,
                                     HammerSystem)
 from repro.coherence.protocol_table import (
-    A_ISSUE_GETX,
-    A_NONE,
-    A_SILENT_UPGRADE,
-    A_SUPPLY_DATA,
-    LOAD_ACTION_ROW,
-    PROBE_GETS_ACTION_ROW,
-    PROBE_GETS_NEXT_ROW,
-    PROBE_GETX_ACTION_ROW,
-    STATE_INDEX,
-    STATE_BY_INDEX,
-    STORE_ACTION_ROW,
+    LOAD_TRANSITIONS,
+    PROBE_GETS_TRANSITIONS,
+    PROBE_GETX_TRANSITIONS,
+    STORE_TRANSITIONS,
+    Action,
     ProtocolEvent,
     ProtocolViolationError,
 )
@@ -56,10 +52,15 @@ from repro.telemetry.tracer import TRACER
 
 Callback = Callable[[AccessResult], None]
 
-_STATE_S = HammerState.S
 _STATE_M = HammerState.M
-_STATE_MM = HammerState.MM
 _STATE_I = HammerState.I
+
+#: actions the walk branches on, compared by identity (an ``Action.X``
+#: attribute lookup per access is measurable in the hit path)
+_NONE = Action.NONE
+_SILENT_UPGRADE = Action.SILENT_UPGRADE
+_ISSUE_GETX = Action.ISSUE_GETX
+_SUPPLY_DATA = Action.SUPPLY_DATA
 
 #: crossbar span labels, as ``Crossbar.send_raw`` names its messages
 _REQUEST = MessageClass.REQUEST.name.lower()
@@ -220,7 +221,7 @@ class CoherenceWalk:
 
     def _load_hit(self, line, address: int, t_tags: int) -> AccessResult:
         state = line.state
-        if LOAD_ACTION_ROW[STATE_INDEX[state]] < 0:
+        if state not in LOAD_TRANSITIONS:
             raise ProtocolViolationError(state, ProtocolEvent.LOAD,
                                          self._name)
         word = None
@@ -232,33 +233,34 @@ class CoherenceWalk:
     def _store_hit(self, line, address: int, value: Optional[int],
                    t_tags: int) -> AccessResult:
         state = line.state
-        action = STORE_ACTION_ROW[STATE_INDEX[state]]
-        if action < 0:
+        try:
+            new_state, action = STORE_TRANSITIONS[state]
+        except KeyError:
             raise ProtocolViolationError(state, ProtocolEvent.STORE,
-                                         self._name)
-        if action == A_NONE:                 # MM
+                                         self._name) from None
+        if action is _NONE:                  # MM
             self._write_word(line, address, value)
             return AccessResult(t_tags, value, True, "local")
-        if action == A_SILENT_UPGRADE:       # M -> MM, no traffic
-            line.state = _STATE_MM
+        if action is _SILENT_UPGRADE:        # M -> MM, no traffic
+            line.state = new_state
             self._write_word(line, address, value)
             if TRACER.enabled:
                 self._engine._trace(self._name, address & self._line_mask,
-                                    "Store(silent)", state, _STATE_MM,
+                                    "Store(silent)", state, new_state,
                                     t_tags)
             return AccessResult(t_tags, value, True, "local")
-        if action == A_ISSUE_GETX:           # S/O: invalidate others
+        if action is _ISSUE_GETX:            # S/O: invalidate others
             line_address = address & self._line_mask
             ready = self.upgrade(line_address, t_tags)
-            line.state = _STATE_MM
+            line.state = new_state
             self._write_word(line, address, value)
             if TRACER.enabled:
                 self._engine._trace(self._name, line_address,
-                                    "Store(upgrade)", state, _STATE_MM,
+                                    "Store(upgrade)", state, new_state,
                                     ready)
             return AccessResult(ready, value, True, "local")
         raise ProtocolViolationError(state, ProtocolEvent.STORE,
-                                     f"unexpected action index {action}")
+                                     f"unexpected action {action.value}")
 
     def _write_word(self, line, address: int,
                     value: Optional[int]) -> None:
@@ -295,15 +297,17 @@ class CoherenceWalk:
                        now, at_mc)
         t_mc = at_mc + self._memctrl_ticks
 
-        probe_row = (PROBE_GETX_ACTION_ROW if exclusive
-                     else PROBE_GETS_ACTION_ROW)
-        probe_event = (ProtocolEvent.PROBE_GETX if exclusive
-                       else ProtocolEvent.PROBE_GETS)
+        if exclusive:
+            probe_row = PROBE_GETX_TRANSITIONS
+            probe_event = ProtocolEvent.PROBE_GETX
+        else:
+            probe_row = PROBE_GETS_TRANSITIONS
+            probe_event = ProtocolEvent.PROBE_GETS
         response_ticks: List[int] = []
         owner_payload = None
         owner_dirty = False
         owner_found = False
-        sharers_found = False
+        copies_found = False
 
         probes = self._probes
         resp_size = self._resp_size
@@ -328,44 +332,33 @@ class CoherenceWalk:
             if on_probe is not None:
                 on_probe(line_address)
             probe_entry = t_map_get(line_address >> t_shift)
-            if probe_entry is None:
-                t_response = resp_in_send(
-                    resp_size, resp_eg_send(resp_size, t_snooped))
-                if tracing:
-                    self._span(_RESPONSE, target_name, name, line_address,
-                               resp_size, t_snooped, t_response)
-                append_response(t_response)
-                message_bytes += resp_size
-                continue
-            probe_line = probe_entry[1]
-            state = probe_line.state
-            state_index = STATE_INDEX[state]
-            action = probe_row[state_index]
-            if action < 0:
-                raise ProtocolViolationError(state, probe_event,
-                                             target_name)
-            if action == A_SUPPLY_DATA:
-                owner_found = True
-                owner_dirty = probe_line.dirty
-                if probe_line.data is not None:
-                    owner_payload = dict(probe_line.data)
-                if exclusive:
-                    removed = target.cache.invalidate(line_address)
-                    assert removed is not None
+            supplies = False
+            if probe_entry is not None:
+                probe_line = probe_entry[1]
+                state = probe_line.state
+                try:
+                    new_state, action = probe_row[state]
+                except KeyError:
+                    raise ProtocolViolationError(state, probe_event,
+                                                 target_name) from None
+                copies_found = True
+                supplies = action is _SUPPLY_DATA
+                if supplies:
+                    owner_found = True
+                    owner_dirty = probe_line.dirty
+                    if probe_line.data is not None:
+                        owner_payload = dict(probe_line.data)
+                if new_state is _STATE_I:
+                    target.cache.invalidate(line_address)
                     if target.on_back_invalidate is not None:
                         target.on_back_invalidate(line_address)
-                    if tracing:
-                        self._engine._trace(target_name, line_address,
-                                            "ProbeGETX", state, _STATE_I,
-                                            t_snooped)
                 else:
-                    new_state = STATE_BY_INDEX[
-                        PROBE_GETS_NEXT_ROW[state_index]]  # MM/M -> O
                     probe_line.state = new_state
-                    if tracing:
-                        self._engine._trace(target_name, line_address,
-                                            "ProbeGETS", state, new_state,
-                                            t_snooped)
+                if tracing and (supplies or new_state is not state):
+                    self._engine._trace(target_name, line_address,
+                                        probe_event.value, state,
+                                        new_state, t_snooped)
+            if supplies:
                 t_data = data_in_send(
                     data_size, data_eg_send(data_size, t_snooped))
                 if tracing:
@@ -373,17 +366,7 @@ class CoherenceWalk:
                                data_size, t_snooped, t_data)
                 append_response(t_data)
                 message_bytes += data_size
-            else:  # SEND_ACK (I stays I; S acks, invalidating on GETX)
-                if state is _STATE_S:
-                    sharers_found = True
-                    if exclusive:
-                        target.cache.invalidate(line_address)
-                        if target.on_back_invalidate is not None:
-                            target.on_back_invalidate(line_address)
-                        if tracing:
-                            self._engine._trace(target_name, line_address,
-                                                "ProbeGETX", state,
-                                                _STATE_I, t_snooped)
+            else:
                 t_response = resp_in_send(
                     resp_size, resp_eg_send(resp_size, t_snooped))
                 if tracing:
@@ -416,13 +399,16 @@ class CoherenceWalk:
 
         ready = max(response_ticks) if response_ticks else t_mc
         if exclusive:
-            fill_state = _STATE_MM
+            fill_state = STORE_TRANSITIONS[_STATE_I][0]
             dirty = owner_dirty
-        elif owner_found or sharers_found:
-            fill_state = _STATE_S
+        elif copies_found:
+            fill_state = LOAD_TRANSITIONS[_STATE_I][0]
             dirty = False
         else:
-            fill_state = _STATE_M  # exclusive-clean grant
+            # engine policy, not a table row: Hammer's exclusive-clean
+            # grant (paper Fig. 3, gem5 MOESI_hammer) — a load miss that
+            # finds no other copy fills in M
+            fill_state = _STATE_M
             dirty = False
         victim = self._cache_fill(line_address, fill_state, ready,
                                   payload, dirty)
@@ -473,13 +459,20 @@ class CoherenceWalk:
                 on_probe(line_address)
             probe_entry = t_map_get(line_address >> t_shift)
             if probe_entry is not None:
-                state = probe_entry[1].state
-                if PROBE_GETX_ACTION_ROW[STATE_INDEX[state]] < 0:
+                probe_line = probe_entry[1]
+                state = probe_line.state
+                try:
+                    new_state = PROBE_GETX_TRANSITIONS[state][0]
+                except KeyError:
                     raise ProtocolViolationError(
-                        state, ProtocolEvent.PROBE_GETX, target_name)
-                target.cache.invalidate(line_address)
-                if target.on_back_invalidate is not None:
-                    target.on_back_invalidate(line_address)
+                        state, ProtocolEvent.PROBE_GETX,
+                        target_name) from None
+                if new_state is _STATE_I:
+                    target.cache.invalidate(line_address)
+                    if target.on_back_invalidate is not None:
+                        target.on_back_invalidate(line_address)
+                else:
+                    probe_line.state = new_state
             t_response = resp_in_send(
                 resp_size, resp_eg_send(resp_size, t_snooped))
             if tracing:

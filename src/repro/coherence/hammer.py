@@ -19,7 +19,10 @@ Those demand walks — hit, GETS/GETX fetch, S/O upgrade — are one
 The direct-store extension adds :meth:`HammerSystem.remote_store`: the
 CPU-side store is forwarded over the **dedicated network** to the owning
 GPU L2 slice, with the Fig. 3 transitions (always-to-I at the CPU,
-I→MM at the GPU L2) taken from the declarative protocol table.
+I→MM at the GPU L2) taken from the declarative protocol table, as are
+the replacement actions of evicted lines.  The one next state the
+remote store does not read from the table is the §III-A DRAM bypass: a
+forward that finds its GPU L2 set full leaves the slice in ``I``.
 
 Timing is transaction-walk style: each hop returns an arrival tick and
 holds link/bank occupancy, so contention is modelled without simulating
@@ -37,10 +40,10 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
 from repro.coherence.protocol_table import (
     REMOTE_STORE_ARRIVE_TRANSITIONS,
     REMOTE_STORE_LOCAL_TRANSITIONS,
-    REPLACEMENT_TRANSITIONS,
     Action,
     ProtocolEvent,
     ProtocolViolationError,
+    next_state,
 )
 from repro.coherence.states import HammerState
 from repro.engine.clock import ClockDomain
@@ -60,15 +63,7 @@ if TYPE_CHECKING:
 #: node name of the memory controller / ordering point
 MEMCTRL = "memctrl"
 
-#: may a remote store leave from / arrive at a line absent in the cache?
-#: (fixed by the protocol table; checked on every forward)
-_I_MAY_FORWARD = HammerState.I in REMOTE_STORE_LOCAL_TRANSITIONS
-_I_MAY_RECEIVE = HammerState.I in REMOTE_STORE_ARRIVE_TRANSITIONS
-# an arriving store merges into (or installs) the slice's line in every
-# state the table allows, so remote_store checks only legality
-assert all(action in (Action.MERGE_STORE, Action.INSTALL_MM)
-           for _next, action in REMOTE_STORE_ARRIVE_TRANSITIONS.values())
-_STATE_MM = HammerState.MM
+_STATE_I = HammerState.I
 _STORE_FORWARD = MessageClass.STORE_FORWARD
 _DATA = MessageClass.DATA
 
@@ -345,27 +340,29 @@ class HammerSystem:
         local = src_line_get(line_address >> src_shift)
         if local is not None:
             self._remote_store_local(src, local[1], line_address, now)
-        elif not _I_MAY_FORWARD:
+        elif _STATE_I not in REMOTE_STORE_LOCAL_TRANSITIONS:
             raise ProtocolViolationError(
-                HammerState.I, ProtocolEvent.REMOTE_STORE_LOCAL, src_name)
+                _STATE_I, ProtocolEvent.REMOTE_STORE_LOCAL, src_name)
 
         # --- the dedicated network hop ---------------------------------
         arrival = forward(slice_name,
                           _DATA if extra_words else _STORE_FORWARD,
                           line_address, now)
 
-        # --- GPU L2 side: I -> MM install / MM merge --------------------
+        # --- GPU L2 side: I -> MM install / merge in place --------------
         t_done = arrival + dst.tag_ticks
         local_line = line_address >> dst_shift
         entry = dst_line_get(local_line)
         if entry is not None:
             existing = entry[1]
             old_state = existing.state
-            if old_state not in REMOTE_STORE_ARRIVE_TRANSITIONS:
+            try:
+                new_state = REMOTE_STORE_ARRIVE_TRANSITIONS[old_state][0]
+            except KeyError:
                 raise ProtocolViolationError(
                     old_state, ProtocolEvent.REMOTE_STORE_ARRIVE,
-                    slice_name)
-            existing.state = _STATE_MM
+                    slice_name) from None
+            existing.state = new_state
             if image is not None:
                 data = existing.data
                 for word_address, word_value in self._words(
@@ -378,14 +375,18 @@ class HammerSystem:
             existing.dirty = True
             if TRACER.enabled:
                 self._trace(slice_name, line_address, "RemoteStoreArrive",
-                            old_state, _STATE_MM, t_done)
+                            old_state, new_state, t_done)
             return AccessResult(t_done, value, True, "local")
-        if not _I_MAY_RECEIVE:
+        try:
+            new_state = REMOTE_STORE_ARRIVE_TRANSITIONS[_STATE_I][0]
+        except KeyError:
             raise ProtocolViolationError(
-                HammerState.I, ProtocolEvent.REMOTE_STORE_ARRIVE, slice_name)
+                _STATE_I, ProtocolEvent.REMOTE_STORE_ARRIVE,
+                slice_name) from None
         if (dst_cache._valid_masks[local_line & dst_cache.layout.index_mask]
                 == dst_cache._full_mask):
-            # no free way (has_free_way): §III-A: "If the GPU L2 cache is
+            # engine policy, not a table row — the slice stays in I.  No
+            # free way (has_free_way): §III-A: "If the GPU L2 cache is
             # full, the system then writes data to DRAM."  Bypassing a
             # full set instead of evicting keeps pushed-but-unread lines
             # resident — without this, a streaming producer larger than
@@ -406,7 +407,7 @@ class HammerSystem:
         payload = None
         if image is not None:
             payload = image.read_line(line_address)
-        victim = dst_cache.fill(line_address, _STATE_MM, t_done, payload,
+        victim = dst_cache.fill(line_address, new_state, t_done, payload,
                                 dirty=True)
         if victim is not None:
             self._handle_victim(dst, victim[0], victim[1], t_done)
@@ -419,7 +420,7 @@ class HammerSystem:
                 self._write_word(filled, word_address, word_value)
         if TRACER.enabled:
             self._trace(slice_name, line_address, "RemoteStoreArrive",
-                        HammerState.I, _STATE_MM, t_done)
+                        _STATE_I, new_state, t_done)
         return AccessResult(t_done, value, False, "local")
 
     def _remote_end(self, agent_name: str) -> tuple:
@@ -445,11 +446,9 @@ class HammerSystem:
                             line_address: int, now: int) -> None:
         """CPU-side transition of a remote store that finds the line
         cached at the source (Fig. 3, always-to-I)."""
-        transition = REMOTE_STORE_LOCAL_TRANSITIONS.get(local.state)
-        if transition is None:
-            raise ProtocolViolationError(
-                local.state, ProtocolEvent.REMOTE_STORE_LOCAL, src.name)
-        if transition[1] is Action.FLUSH_THEN_FORWARD:
+        new_state, action = next_state(
+            local.state, ProtocolEvent.REMOTE_STORE_LOCAL, src.name)
+        if action is Action.FLUSH_THEN_FORWARD:
             # "it gets exclusive permission to the cache block": the
             # local copy (dirty or not) leaves the CPU before the
             # forward, so the GPU-side install is the only copy.
@@ -460,7 +459,7 @@ class HammerSystem:
             if src.on_back_invalidate is not None:
                 src.on_back_invalidate(line_address)
             self._trace(src.name, line_address, "RemoteStoreLocal",
-                        victim.state, HammerState.I, now)
+                        victim.state, new_state, now)
         # FORWARD_STORE from I needs no local work
 
     # ------------------------------------------------------------------
@@ -474,15 +473,8 @@ class HammerSystem:
         if agent.on_probe is not None:
             agent.on_probe(line_address)
         victim = agent.cache.invalidate(line_address)
-        if victim is None:
-            return
-        if victim.state not in REPLACEMENT_TRANSITIONS:
-            raise ProtocolViolationError(victim.state,
-                                         ProtocolEvent.REPLACEMENT,
-                                         agent_name)
-        self._handle_victim(agent, line_address, victim, now)
-        if agent.on_back_invalidate is not None:
-            agent.on_back_invalidate(line_address)
+        if victim is not None:
+            self._handle_victim(agent, line_address, victim, now)
 
     # ------------------------------------------------------------------
     # helpers
@@ -494,13 +486,10 @@ class HammerSystem:
         state = victim.state
         if state is None:
             return
-        transition = REPLACEMENT_TRANSITIONS.get(state)
-        if transition is None:
-            raise ProtocolViolationError(state, ProtocolEvent.REPLACEMENT,
-                                         agent.name)
-        _next, action = transition
+        new_state, action = next_state(state, ProtocolEvent.REPLACEMENT,
+                                       agent.name)
         self._trace(agent.name, line_address, "Replacement", state,
-                    HammerState.I, now)
+                    new_state, now)
         if action is Action.WRITEBACK_DATA and victim.dirty:
             self._writeback(agent.name, line_address, victim, now)
         elif action is Action.WRITEBACK_DATA:

@@ -18,9 +18,14 @@ A successor is rebuilt by replaying its action path on a fresh system,
 so no state is ever copied out of the simulator.  The recorded state
 counts are part of the assertion: a walk change that opens (or closes)
 states shows up here even when it stays safe.
+
+The same search also ties the walks to their specification: around
+every step it records each agent's and line's ``(state before, event,
+state after)`` and checks the set against ``PROTOCOL_TABLE``.
 """
 
 from repro.coherence.hammer import CoherentAgent, HammerSystem
+from repro.coherence.protocol_table import PROTOCOL_TABLE, ProtocolEvent
 from repro.coherence.states import HammerState
 from repro.engine.clock import ClockDomain
 from repro.interconnect.direct_network import DirectStoreNetwork
@@ -51,14 +56,26 @@ def build_system(ways):
     return system
 
 
-def replay(path, ways):
-    """Run *path* on a fresh system, checking safety after every step."""
+def residency(system):
+    """``(agent, line) -> state`` of every resident line."""
+    return {(name, address // LINE): copy.state for name in AGENTS
+            for address, copy in system.agents[name].cache.resident_lines()}
+
+
+def replay(path, ways, on_step=None):
+    """Run *path* on a fresh system, checking safety after every step.
+
+    *on_step*, if given, sees each step as ``(action, line, residency
+    before, residency after)``.
+    """
     system = build_system(ways)
     reference = {}
     tick = 0
     stores = 0
     for action, line in path:
         address = line * LINE
+        if on_step is not None:
+            before = residency(system)
         if action in ("cpu_store", "gpu_store", "remote_store"):
             stores += 1
             if action == "remote_store":
@@ -82,6 +99,8 @@ def replay(path, ways):
                 f"{action} of line {line} read {result.value}, expected "
                 f"{reference.get(line, 0)} after {path}")
             tick = result.ready_tick
+        if on_step is not None:
+            on_step(action, line, before, residency(system))
         system.check_invariants()
     return system, reference
 
@@ -101,12 +120,13 @@ def abstract_state(system, reference, lines):
     return tuple(state)
 
 
-def explore(lines, ways, max_depth):
+def explore(lines, ways, max_depth, on_step=None):
     """Breadth-first search to *max_depth* or a fixed point.
 
     Returns ``(seen, depth, fixed_point)``: the set of distinct
     abstract states reached, the depth at which the last new one appeared, and
-    whether a whole level added nothing.
+    whether a whole level added nothing.  *on_step* is passed to every
+    :func:`replay`.
     """
     moves = [(action, line) for line in range(lines) for action in ACTIONS]
     system, reference = replay((), ways)
@@ -118,7 +138,7 @@ def explore(lines, ways, max_depth):
         for path in frontier:
             for move in moves:
                 successor = path + (move,)
-                system, reference = replay(successor, ways)
+                system, reference = replay(successor, ways, on_step)
                 state = abstract_state(system, reference, lines)
                 if state not in seen:
                     seen.add(state)
@@ -148,3 +168,77 @@ def test_three_lines_in_two_ways_to_depth_six():
     seen, depth, fixed_point = explore(lines=3, ways=2, max_depth=6)
     assert not fixed_point
     assert (len(seen), depth) == (1642, 6)
+
+
+_I = HammerState.I
+_E = ProtocolEvent
+
+#: demand action -> (requester, other agent, event, probe on a miss)
+REQUESTS = {
+    "cpu_load": ("cpu", GPU, _E.LOAD, _E.PROBE_GETS),
+    "cpu_store": ("cpu", GPU, _E.STORE, _E.PROBE_GETX),
+    "gpu_load": (GPU, "cpu", _E.LOAD, _E.PROBE_GETS),
+    "gpu_store": (GPU, "cpu", _E.STORE, _E.PROBE_GETX),
+}
+
+#: the two next states the engine takes from policy instead of the table
+POLICIES = {
+    # Hammer's exclusive-clean grant: a load miss that finds no other
+    # copy fills in M
+    (_I, _E.LOAD, HammerState.M),
+    # §III-A: a forward to a full GPU L2 set goes to DRAM, the slice
+    # stays in I
+    (_I, _E.REMOTE_STORE_ARRIVE, _I),
+}
+
+
+def step_events(action, line, before):
+    """``(agent, line) -> event`` for the transitions *action* names.
+
+    The requester sees its LOAD/STORE, and the other agent a probe when
+    the request misses or a store upgrades an S/O copy; a remote store
+    is REMOTE_STORE_LOCAL at the CPU and REMOTE_STORE_ARRIVE at the
+    slice.  Uncached loads and evictions name none: a line a step
+    removes without an event was replaced.
+    """
+    if action == "remote_store":
+        return {("cpu", line): _E.REMOTE_STORE_LOCAL,
+                (GPU, line): _E.REMOTE_STORE_ARRIVE}
+    if action not in REQUESTS:
+        return {}
+    agent, other, event, probe = REQUESTS[action]
+    events = {(agent, line): event}
+    state = before.get((agent, line), _I)
+    if state is _I or (event is _E.STORE
+                       and state in (HammerState.S, HammerState.O)):
+        events[(other, line)] = probe
+    return events
+
+
+def test_walks_perform_exactly_the_table():
+    """Every transition the walks perform is a table row or one of the
+    two named policies, and every one of the table's 34 ``(state,
+    event)`` keys is reached (an absent line counts as I)."""
+    triples = set()
+
+    def record(action, line, before, after):
+        events = step_events(action, line, before)
+        for key in before.keys() | after.keys() | events.keys():
+            old, new = before.get(key, _I), after.get(key, _I)
+            event = events.get(key)
+            if event is None:
+                if old is new:
+                    continue
+                assert new is _I, (
+                    f"{action} of line {line} moved {key} {old} -> {new}")
+                event = _E.REPLACEMENT
+            triples.add((old, event, new))
+
+    explore(lines=2, ways=1, max_depth=8, on_step=record)
+    rows = {(state, event, new)
+            for (state, event), (new, _action) in PROTOCOL_TABLE.items()}
+    assert triples - rows == POLICIES
+    reached = {(state, event) for state, event, _new in triples & rows}
+    assert reached == set(PROTOCOL_TABLE), sorted(
+        (state.value, event.value)
+        for state, event in set(PROTOCOL_TABLE) - reached)
