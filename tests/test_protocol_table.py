@@ -1,8 +1,11 @@
 """Tests of the protocol *specification* (the Fig. 3 transition table).
 
 These check the table itself — the declarative encoding of the paper's
-modified Hammer diagram — independently of the runtime engine.
+modified Hammer diagram — independently of the runtime engine, and that
+docs/PROTOCOL.md shows it as it is.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -160,3 +163,35 @@ class TestSafetyProperties:
         with pytest.raises(ProtocolViolationError, match="gpu.l2.slice0"):
             next_state(HammerState.I, ProtocolEvent.REPLACEMENT,
                        context="gpu.l2.slice0")
+
+
+class TestProtocolDoc:
+    """docs/PROTOCOL.md carries the table as a state x event matrix."""
+
+    MARKER = "<!-- protocol-table -->"
+
+    @staticmethod
+    def render():
+        """One row per state, one column per event; each cell is
+        ``next / action``, blank where the event is illegal."""
+        events = list(ProtocolEvent)
+        lines = ["| State | " + " | ".join(e.value for e in events) + " |",
+                 "|---" * (len(events) + 1) + "|"]
+        for state in HammerState:
+            cells = []
+            for event in events:
+                row = PROTOCOL_TABLE.get((state, event))
+                cells.append("" if row is None else
+                             f"`{row[0].value}` / `{row[1].name}`")
+            lines.append(f"| `{state.value}` | " + " | ".join(cells) + " |")
+        return "\n".join(lines)
+
+    def test_doc_matrix_matches_the_table(self):
+        doc = (Path(__file__).resolve().parent.parent / "docs"
+               / "PROTOCOL.md").read_text()
+        parts = doc.split(self.MARKER)
+        assert len(parts) == 3, f"expected one {self.MARKER} pair"
+        expected = self.render()
+        assert parts[1].strip() == expected, (
+            "docs/PROTOCOL.md's protocol table differs from PROTOCOL_TABLE;"
+            f" the block between the markers should read:\n{expected}")
