@@ -229,3 +229,29 @@ class TestWritebackL1:
         line = system.cpu_l1d.probe(pa)
         assert line is not None and line.data is not None
         assert line.data.get((pa % 128) // 4) == 2
+
+    @pytest.mark.xfail(strict=True, reason="a store that merges into a "
+                       "load's MSHR entry replays after the load copied "
+                       "the L2 line into the L1D, so the clean L1D copy "
+                       "lacks the stored word")
+    def test_store_merged_into_load_miss_reaches_l1d(self, tiny_config):
+        def ops(buffers):
+            base = buffers["heap"]
+            # twelve store misses fill the port's 8 MSHRs and park 4
+            # more, holding every drain slot: the store to word 1 waits
+            # in the store buffer while the load of word 0 misses, then
+            # parks behind it and merges into the load's MSHR entry
+            return ([CpuOp.store(base + 128 * (1 + i), i) for i in range(12)]
+                    + [CpuOp.store(base + 4, 7), CpuOp.load(base),
+                       CpuOp.compute(5000)])
+
+        system, workload, _r = run_cpu_ops(tiny_config, CoherenceMode.CCSM,
+                                           ops)
+        pa = system.page_table.translate(workload.buffers["heap"])
+        word = ((pa + 4) % 128) // 4
+        assert system.cpu_l2.probe(pa).data.get(word) == 7
+        # the L1D copy is clean, so a load of word 1 hits it: it must
+        # hold the stored word, not 0
+        line = system.cpu_l1d.probe(pa)
+        assert line is not None and not line.dirty
+        assert (line.data or {}).get(word) == 7
