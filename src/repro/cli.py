@@ -258,9 +258,9 @@ def _mode_path(path: str, mode: CoherenceMode, multi: bool) -> str:
 
 def _cmd_run(args) -> int:
     profiler = SamplingProfiler() if args.profile else None
-    telemetry = TelemetrySettings.from_env(TelemetrySettings(
+    telemetry = TelemetrySettings(
         trace=bool(args.trace_out or args.trace_jsonl),
-        sample_interval=args.sample_interval or 0))
+        sample_interval=args.sample_interval or 0)
     modes = (list(CoherenceMode) if args.mode == "all"
              else [MODES[args.mode]])
     multi = len(modes) > 1
@@ -306,9 +306,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    telemetry = (TelemetrySettings.from_env(TelemetrySettings(
-        sample_interval=args.sample_interval))
-        if args.sample_interval > 0 else None)
+    telemetry = (TelemetrySettings(sample_interval=args.sample_interval)
+                 if args.sample_interval > 0 else None)
     comparison = compare_many([args.code], args.input_size,
                               jobs=args.jobs, cache=_cache_for(args),
                               telemetry=telemetry)[0]

@@ -386,7 +386,7 @@ class HammerSystem:
         if (dst_cache._valid_masks[local_line & dst_cache.layout.index_mask]
                 == dst_cache._full_mask):
             # engine policy, not a table row — the slice stays in I.  No
-            # free way (has_free_way): §III-A: "If the GPU L2 cache is
+            # free way in the set: §III-A: "If the GPU L2 cache is
             # full, the system then writes data to DRAM."  Bypassing a
             # full set instead of evicting keeps pushed-but-unread lines
             # resident — without this, a streaming producer larger than

@@ -18,12 +18,12 @@ no drain is in flight.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.cpu.hierarchy import CpuMemorySubsystem
 from repro.engine.clock import ClockDomain
 from repro.engine.event import EventQueue
-from repro.mem.writebuffer import WriteBuffer
 from repro.utils.statistics import StatsRegistry
 from repro.vm.mmu import MMU
 from repro.workloads.trace import CpuOp, OpKind
@@ -39,10 +39,6 @@ _KIND_CODE: Dict[OpKind, int] = {
     OpKind.COMPUTE: _K_COMPUTE,
     OpKind.LOAD: _K_LOAD,
 }
-
-#: the size every buffered CPU store carries (one word)
-_STORE_SIZE = 4
-
 
 def _compile_ops(ops: List[CpuOp], period_ticks: int
                  ) -> Tuple[List[int], List[int]]:
@@ -80,7 +76,13 @@ class CpuCore:
         self.clock = clock
         self.mmu = mmu
         self.memory = memory
-        self.store_buffer = WriteBuffer(f"{name}.sb", store_buffer_entries)
+        if store_buffer_entries <= 0:
+            raise ValueError(f"{name}: store buffer needs at least one "
+                             "entry")
+        #: the store buffer: a FIFO of retired ``(address, value)``
+        #: stores waiting to drain
+        self.store_buffer: Deque[Tuple[int, Optional[int]]] = deque()
+        self._sb_capacity = store_buffer_entries
         self.max_outstanding_drains = max_outstanding_drains
         self.stats = StatsRegistry(name)
         self._cycle_ticks = clock.cycles_to_ticks(1)
@@ -93,13 +95,6 @@ class CpuCore:
         self._issue_next_cb = self._issue_next
         self._store_complete_cb = self._store_complete
         self._drain_accepted_cb = self._drain_accepted
-        # the store buffer's queue and counters, pushed and drained in
-        # place (the buffer object stays the public view of its state)
-        self._sb_queue = self.store_buffer._queue
-        self._sb_capacity = self.store_buffer.capacity
-        self._sb_enqueued = self.store_buffer._enqueued
-        self._sb_drained = self.store_buffer._drained
-        self._sb_full_stalls = self.store_buffer._full_stalls
         self._ops_executed = self.stats.counter("ops_executed")
         self._load_latency = self.stats.histogram(
             "load_latency_ticks", [1000, 5000, 20000, 100000, 500000])
@@ -144,15 +139,13 @@ class CpuCore:
         kind = self._kinds[index]
 
         if kind == _K_STORE:
-            sb_queue = self._sb_queue
+            sb_queue = self.store_buffer
             if (not sb_queue and self._drains_outstanding
                     < self.max_outstanding_drains):
                 # empty buffer, free drain slot: the store passes
                 # straight through it (pushed and drained at once, with
                 # nothing queued to combine it with)
                 op = self._ops[index]
-                self._sb_enqueued.value += 1
-                self._sb_drained.value += 1
                 self._ops_executed.value += 1
                 self._drains_outstanding += 1
                 self._stores_inflight += 1
@@ -161,15 +154,13 @@ class CpuCore:
                                    self._drain_accepted_cb)
             elif len(sb_queue) >= self._sb_capacity:
                 # buffer full: stall until a drain completes
-                self._sb_full_stalls.value += 1
                 self._sb_stall_ticks.value += 1
                 self._stalled_on_store = True
                 self._next_op = index  # re-issue this op when unstalled
                 return
             else:
                 op = self._ops[index]
-                sb_queue.append((op.address, op.value, _STORE_SIZE))
-                self._sb_enqueued.value += 1
+                sb_queue.append((op.address, op.value))
                 self._ops_executed.value += 1
                 if self._drains_outstanding < self.max_outstanding_drains:
                     self._kick_drain()
@@ -186,9 +177,18 @@ class CpuCore:
         raise ValueError(
             f"{self.name}: CPU op {self._ops[index].kind} not executable")
 
+    def forwards(self, address: int) -> bool:
+        """Store-to-load forwarding: is a store to *address* buffered?
+
+        A store without a tracked value (``None``) still forwards.
+        """
+        for buffered_address, _value in self.store_buffer:
+            if buffered_address == address:
+                return True
+        return False
+
     def _issue_load(self, op: CpuOp) -> None:
-        forwarded, _value = self.store_buffer.forwards(op.address)
-        if forwarded:
+        if self.forwards(op.address):
             # store-to-load forwarding: one-cycle bypass
             self._post_after(self._cycle_ticks, self._issue_next_cb)
             return
@@ -210,38 +210,33 @@ class CpuCore:
 
         Callers have checked that a slot is free.
         """
-        sb_queue = self._sb_queue
+        sb_queue = self.store_buffer
         max_drains = self.max_outstanding_drains
         line_mask = self._line_mask
         translate = self._translate
         memory_store = self._memory_store
-        drained = 0
         while sb_queue and self._drains_outstanding < max_drains:
-            address, value, _size = sb_queue.popleft()
-            drained += 1
+            address, value = sb_queue.popleft()
             # write combining: fold adjacent queued stores to the same
             # line into one transaction (streaming produce loops combine
             # a whole line per drain)
             line = address & line_mask
             extra_words = None
             while sb_queue and (sb_queue[0][0] & line_mask) == line:
-                head = sb_queue.popleft()
-                drained += 1
                 if extra_words is None:
-                    extra_words = [(head[0], head[1])]
+                    extra_words = [sb_queue.popleft()]
                 else:
-                    extra_words.append((head[0], head[1]))
+                    extra_words.append(sb_queue.popleft())
             self._drains_outstanding += 1
             self._stores_inflight += 1
             memory_store(translate(address, True), value,
                          self._store_complete_cb, extra_words,
                          self._drain_accepted_cb)
-        self._sb_drained.value += drained
 
     def _drain_accepted(self) -> None:
         """The memory system took the store; free its drain slot."""
         self._drains_outstanding -= 1
-        if self._sb_queue:
+        if self.store_buffer:
             self._kick_drain()
         if self._stalled_on_store:
             self._stalled_on_store = False
@@ -263,7 +258,7 @@ class CpuCore:
 
     def _maybe_finish(self) -> None:
         if (self._running and self._next_op >= self._num_ops
-                and not self._sb_queue
+                and not self.store_buffer
                 and self._drains_outstanding == 0
                 and self._stores_inflight == 0
                 and not self._stalled_on_store):

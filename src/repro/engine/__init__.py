@@ -2,9 +2,9 @@
 
 The engine mirrors gem5's core abstractions in miniature:
 
-* :class:`~repro.engine.event.Event` / :class:`~repro.engine.event.EventQueue`
-  — a priority queue of callbacks ordered by tick, with a stable tiebreaker
-  so simulations are fully deterministic;
+* :class:`~repro.engine.event.EventQueue` — a priority queue of
+  callbacks ordered by tick, with a stable tiebreaker so simulations are
+  fully deterministic;
 * :class:`~repro.engine.clock.ClockDomain` — converts between cycles of a
   component clock (CPU, GPU, memory run at different frequencies in the
   paper's Table I) and global picosecond ticks;
@@ -12,13 +12,12 @@ The engine mirrors gem5's core abstractions in miniature:
 """
 
 from repro.engine.clock import ClockDomain, TICKS_PER_SECOND
-from repro.engine.event import Event, EventQueue
+from repro.engine.event import EventQueue
 from repro.engine.simulator import Simulator
 
 __all__ = [
     "ClockDomain",
     "TICKS_PER_SECOND",
-    "Event",
     "EventQueue",
     "Simulator",
 ]

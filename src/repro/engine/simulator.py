@@ -1,8 +1,8 @@
 """The simulation run loop.
 
 :meth:`Simulator.run` fires events one heap pop at a time, in
-``(tick, sequence)`` order, until the queue drains or a budget trips.
-When an interval sampler is attached the same loop runs in
+``(tick, sequence)`` order, until the queue drains or the event budget
+trips.  When an interval sampler is attached the same loop runs in
 :meth:`Simulator._run_sampled`, which peeks at the next tick first so
 samples land between events without posting anything on the queue.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 import gc
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.engine.event import EventQueue
 
@@ -53,7 +53,7 @@ def gc_suspended() -> Iterator[None]:
 
 
 class SimulationLimitError(RuntimeError):
-    """Raised when a run exceeds its event or tick budget.
+    """Raised when a run exceeds its event budget.
 
     A budget overrun almost always means a component deadlocked and is
     rescheduling itself forever, so we fail loudly instead of spinning.
@@ -65,14 +65,12 @@ class Simulator:
 
     The simulator is intentionally minimal: components schedule events
     against :attr:`queue`; :meth:`run` fires them in order until the queue
-    drains or a budget trips.
+    drains or the event budget trips.
     """
 
-    def __init__(self, max_events: int = 200_000_000,
-                 max_ticks: Optional[int] = None) -> None:
+    def __init__(self, max_events: int = 200_000_000) -> None:
         self.queue = EventQueue()
         self.max_events = max_events
-        self.max_ticks = max_ticks
         self.events_fired = 0
         #: optional IntervalSampler driven inline from the run loop.
         #: When ``None`` the loop is byte-for-byte the seed hot path.
@@ -106,33 +104,18 @@ class Simulator:
         queue = self.queue
         pop_entry = queue.pop_entry
         max_events = self.max_events
-        max_ticks = self.max_ticks
         fired = self.events_fired
         try:
-            if max_ticks is None:
-                while True:
-                    entry = pop_entry()
-                    if entry is None:
-                        return queue.current_tick
-                    fired += 1
-                    if fired > max_events:
-                        raise SimulationLimitError(
-                            f"event budget exceeded ({max_events}); "
-                            "likely a scheduling livelock")
-                    entry[3]()
             while True:
                 entry = pop_entry()
                 if entry is None:
                     return queue.current_tick
-                if entry[0] > max_ticks:
-                    raise SimulationLimitError(
-                        f"tick budget exceeded: {entry[0]} > {max_ticks}")
                 fired += 1
                 if fired > max_events:
                     raise SimulationLimitError(
                         f"event budget exceeded ({max_events}); "
                         "likely a scheduling livelock")
-                entry[3]()
+                entry[2]()
         finally:
             self.events_fired = fired
 
@@ -151,7 +134,6 @@ class Simulator:
         pop_entry = queue.pop_entry
         sampler = self.sampler
         max_events = self.max_events
-        max_ticks = self.max_ticks
         fired = self.events_fired
         try:
             while True:
@@ -160,9 +142,6 @@ class Simulator:
                     return queue.current_tick
                 if next_tick >= sampler.next_tick:
                     sampler.advance_to(next_tick)
-                if max_ticks is not None and next_tick > max_ticks:
-                    raise SimulationLimitError(
-                        f"tick budget exceeded: {next_tick} > {max_ticks}")
                 entry = pop_entry()
                 assert entry is not None
                 fired += 1
@@ -170,6 +149,6 @@ class Simulator:
                     raise SimulationLimitError(
                         f"event budget exceeded ({max_events}); "
                         "likely a scheduling livelock")
-                entry[3]()
+                entry[2]()
         finally:
             self.events_fired = fired

@@ -19,7 +19,6 @@ from repro.mem.replacement import (
     ReplacementPolicy,
     make_replacement_policy,
 )
-from repro.mem.writebuffer import WriteBuffer
 
 __all__ = [
     "AddressLayout",
@@ -34,5 +33,4 @@ __all__ = [
     "FIFOReplacement",
     "RandomReplacement",
     "make_replacement_policy",
-    "WriteBuffer",
 ]

@@ -166,11 +166,6 @@ class SetAssociativeCache:
             self._first_touch_hits.value += first_touch
         return out
 
-    def has_free_way(self, address: int) -> bool:
-        """Would a fill of *address* avoid evicting a valid line?"""
-        set_index = self.layout.set_index(address)
-        return self._valid_masks[set_index] != self._full_mask
-
     def lookup(self, address: int, record_stats: bool = True
                ) -> Optional[CacheLine]:
         """Demand access: updates recency and hit/miss statistics.

@@ -29,20 +29,14 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.manifest import run_manifest
 from repro.telemetry.sampler import IntervalSampler, Probe, TimeSeries
-from repro.telemetry.settings import (
-    SAMPLE_INTERVAL_ENV,
-    TRACE_ENV,
-    TelemetrySettings,
-)
+from repro.telemetry.settings import TelemetrySettings
 from repro.telemetry.tracer import TRACER, CATEGORIES, TraceEvent, Tracer
 
 __all__ = [
     "CATEGORIES",
     "IntervalSampler",
     "Probe",
-    "SAMPLE_INTERVAL_ENV",
     "TimeSeries",
-    "TRACE_ENV",
     "TRACER",
     "TelemetrySettings",
     "TraceEvent",

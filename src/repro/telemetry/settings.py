@@ -1,8 +1,8 @@
-"""Telemetry knobs, resolved once per run from flags or environment.
+"""Telemetry knobs, resolved once per run from CLI flags or a job payload.
 
 A :class:`TelemetrySettings` travels from the CLI (``--trace-out``,
-``--sample-interval``) or the environment (``REPRO_TRACE``,
-``REPRO_SAMPLE_INTERVAL``) down through the harness into
+``--trace-jsonl``, ``--sample-interval``) or a service job payload
+down through the harness into
 :class:`~repro.core.system.IntegratedSystem`.  Its
 ``fingerprint_payload`` joins the result-cache key whenever it is
 non-default, so a traced or sampled run can never collide with (or be
@@ -12,14 +12,10 @@ nothing, preserving every pre-telemetry cache entry.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.telemetry.tracer import DEFAULT_CAPACITY
-
-TRACE_ENV = "REPRO_TRACE"
-SAMPLE_INTERVAL_ENV = "REPRO_SAMPLE_INTERVAL"
 
 
 @dataclass(frozen=True)
@@ -43,24 +39,3 @@ class TelemetrySettings:
             "trace": self.trace,
             "sample_interval": self.sample_interval,
         }
-
-    @classmethod
-    def from_env(cls, base: "Optional[TelemetrySettings]" = None
-                 ) -> "TelemetrySettings":
-        """Overlay environment variables on *base* (or the defaults).
-
-        ``REPRO_TRACE=1`` turns tracing on; ``REPRO_SAMPLE_INTERVAL=N``
-        (ticks) turns sampling on.  Explicit settings in *base* win over
-        absent/empty variables but not over set ones.
-        """
-        base = base or cls()
-        trace = base.trace
-        raw_trace = os.environ.get(TRACE_ENV, "")
-        if raw_trace not in ("", "0"):
-            trace = True
-        sample_interval = base.sample_interval
-        raw_interval = os.environ.get(SAMPLE_INTERVAL_ENV, "")
-        if raw_interval:
-            sample_interval = int(raw_interval)
-        return cls(trace=trace, sample_interval=sample_interval,
-                   trace_capacity=base.trace_capacity)

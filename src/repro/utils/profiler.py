@@ -59,7 +59,6 @@ MODULE_LAYER: Dict[str, str] = {
     "repro.mem.address": "cache",
     "repro.gpu.prefetch": "cache",
     "repro.mem.mshr": "mshr",
-    "repro.mem.writebuffer": "mshr",
     "repro.coherence.port": "protocol",
     "repro.coherence.batch_kernel": "protocol",
     "repro.coherence.hammer": "protocol",

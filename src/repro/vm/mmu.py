@@ -76,10 +76,12 @@ class MMU:
         syscall-emulation mode does the same, so first-touch latency is
         charged as a table walk rather than a full fault.
 
-        Statistics, LRU motion and trace events are those of
-        :meth:`TLB.detect_direct_store`, :meth:`TLB.in_window` and
-        :meth:`TLB.lookup` (then :meth:`TLB.insert` on a miss), done
-        inline: this runs once per CPU access.
+        The TLB's direct-store comparator (§III-E: a store into the
+        reserved window, on a TLB with the detector wired), its window
+        check and its VPN probe (:meth:`TLB.lookup`, then
+        :meth:`TLB.insert` on a miss) are done inline, with the TLB's
+        statistics, LRU motion and trace events: this runs once per CPU
+        access.
         """
         self._translations.value += 1
         in_window = self._window_low <= virtual_address < self._window_high

@@ -6,10 +6,10 @@ detect a high-order virtual address"* and, on a match, *"sends a signal
 to the MMU indicating to the CPU's L1 cache controller to forward the
 store onto the GPU L2 cache."*
 
-The detector here is exactly that comparator:
-:meth:`TLB.detect_direct_store` checks the reserved window's high-order
-bits and nothing else — it adds no lookup state, mirroring the paper's
-"wiring to a logic gate" overhead claim (§IV-E).
+The detector here is exactly that comparator, evaluated inline by
+:meth:`~repro.vm.mmu.MMU.translate`: it checks the reserved window's
+high-order bits and nothing else — it adds no lookup state, mirroring
+the paper's "wiring to a logic gate" overhead claim (§IV-E).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.telemetry.tracer import TRACER
 from repro.utils.statistics import StatsRegistry
 from repro.vm.mmap import DIRECT_STORE_WINDOW_BASE, DIRECT_STORE_WINDOW_SIZE
 from repro.vm.pagetable import PAGE_SIZE
@@ -157,26 +156,6 @@ class TLB:
         """
         return (self.window_base <= virtual_address
                 < self.window_base + self.window_size)
-
-    def detect_direct_store(self, virtual_address: int,
-                            is_store: bool) -> bool:
-        """The paper's added logic: high-order comparator on stores.
-
-        Returns ``True`` when the access is a store into the reserved
-        direct-store window and the detector is wired up; the MMU then
-        tells the L1 controller to forward the store to the GPU L2.
-        """
-        if not self.detector_enabled or not is_store:
-            return False
-        in_window = (self.window_base <= virtual_address
-                     < self.window_base + self.window_size)
-        if in_window:
-            self._ds_detections.increment()
-            if TRACER.enabled:
-                TRACER.instant("direct_store", "ds_detect", TRACER.now(),
-                               track=self.name,
-                               args={"va": virtual_address})
-        return in_window
 
     @property
     def hit_rate(self) -> float:

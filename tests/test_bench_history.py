@@ -8,15 +8,19 @@
   as the stated noise;
 * ``layers``: for KM and FW small under CCSM and direct store, the
   :class:`~repro.utils.profiler.SamplingProfiler` CPU seconds and
-  per-layer shares, each the median of ``profiled_runs`` draws.
+  per-layer shares, each the median of ``profiled_runs`` draws;
+* ``parent_layers`` (newer entries): the same profile of the parent,
+  drawn in the same session, alternating with the change's draws.
 
 The gates read their bounds from ``BENCHMARK.json``: no change median
 may be worse than its parent median by more than the metric's bound,
-and between consecutive entries no layer holding at least
-:data:`LAYER_FLOOR_PCT` of the profiled CPU time may grow in CPU seconds
-(summed over the profiled points) by more than the ``wall_s`` bound, so
-a slower layer cannot hide inside a flat total.  The same gates run on
-small synthetic histories below.  No test here simulates anything.
+and no layer holding at least :data:`LAYER_FLOOR_PCT` of the profiled
+CPU time may grow in CPU seconds (summed over the profiled points) by
+more than the ``wall_s`` bound, so a slower layer cannot hide inside a
+flat total.  An entry with ``parent_layers`` is gated against them;
+an older entry against the previous entry's ``layers``, which also
+moves with host drift between sessions.  The same gates run on small
+synthetic histories below.  No test here simulates anything.
 """
 
 import json
@@ -51,6 +55,9 @@ def missing_fields(entry):
                <= set(measured.get(workload, {}).get(metric, {}))]
     missing += [point for point in PROFILED_POINTS
                 if point not in entry.get("layers", {})]
+    if "parent_layers" in entry:
+        missing += [f"parent_layers/{point}" for point in PROFILED_POINTS
+                    if point not in entry["parent_layers"]]
     return missing
 
 
@@ -69,9 +76,9 @@ def end_to_end_regressions(entry):
     return regressions
 
 
-def layer_seconds(entry):
-    """CPU seconds per layer, summed over the profiled points, and the
-    summed CPU seconds.
+def layer_seconds(layers):
+    """CPU seconds per layer of a ``layers`` map, summed over the
+    profiled points, and the summed CPU seconds.
 
     One point gives a layer at 5% only about 15 samples, so a single
     point's layer seconds move by tens of percent from run to run;
@@ -79,7 +86,7 @@ def layer_seconds(entry):
     percent.
     """
     seconds, total = {}, 0.0
-    for profile in entry["layers"].values():
+    for profile in layers.values():
         total += profile["cpu_s"]
         for layer, share in profile["share_pct"].items():
             seconds[layer] = seconds.get(layer, 0.0) \
@@ -88,10 +95,13 @@ def layer_seconds(entry):
 
 
 def layer_regressions(previous, current):
-    """Layers whose CPU seconds grew beyond the ``wall_s`` bound."""
+    """Layers of *current* whose CPU seconds grew beyond the ``wall_s``
+    bound: against its ``parent_layers`` when it records them, else
+    against the *previous* entry's ``layers``."""
     bound = METRICS["wall_s"]["bound"]
-    (old, old_total), (new, new_total) = (layer_seconds(previous),
-                                          layer_seconds(current))
+    baseline = current.get("parent_layers", previous["layers"])
+    (old, old_total), (new, new_total) = (layer_seconds(baseline),
+                                          layer_seconds(current["layers"]))
     return [layer for layer, seconds in sorted(new.items())
             if 100.0 * max(seconds / new_total,
                            old.get(layer, 0.0) / old_total)
@@ -131,6 +141,14 @@ def test_no_layer_slows_down_between_entries(history):
         assert layer_regressions(previous, current) == [], current["pr"]
 
 
+def test_parent_layers_once_recorded_stay_recorded(history):
+    """After the first entry with same-session parent profiles, every
+    entry has them, so none falls back to the cross-session gate."""
+    recorded = ["parent_layers" in entry for entry in history]
+    if True in recorded:
+        assert all(recorded[recorded.index(True):])
+
+
 def test_reference_matches_recorded_ticks():
     """``perfbench/reference.json`` agrees with ``BENCH_harness.json``."""
     completed = subprocess.run(
@@ -143,7 +161,7 @@ def test_reference_matches_recorded_ticks():
 # -- the gates on synthetic histories ---------------------------------
 
 
-def _entry(pr=1, scale=None, layers=None):
+def _entry(pr=1, scale=None, layers=None, parent_layers=None):
     """Every workload x metric at parent 10.0; *scale* moves one."""
     end_to_end = {workload: {metric: {"parent": 10.0, "change": 10.0,
                                       "parent_q1": 9.5, "parent_q3": 10.5}
@@ -155,8 +173,12 @@ def _entry(pr=1, scale=None, layers=None):
     profile = layers or {"cpu_s": 2.0,
                          "share_pct": {"engine": 40.0, "cache": 20.0,
                                        "dram": 3.0, "warp": 37.0}}
-    return {"pr": pr, "runs": 5, "end_to_end": end_to_end,
-            "layers": {point: profile for point in PROFILED_POINTS}}
+    entry = {"pr": pr, "runs": 5, "end_to_end": end_to_end,
+             "layers": {point: profile for point in PROFILED_POINTS}}
+    if parent_layers is not None:
+        entry["parent_layers"] = {point: parent_layers
+                                  for point in PROFILED_POINTS}
+    return entry
 
 
 def test_gate_flags_a_missing_metric():
@@ -208,3 +230,42 @@ def test_layer_gate_absorbs_jitter_and_small_layers():
         "share_pct": {"engine": 38.0, "cache": 19.0, "dram": 4.5,
                       "warp": 38.5}})
     assert layer_regressions(before, after) == []
+
+
+#: the default synthetic profile, 1.4x slower on every layer: what host
+#: drift between two sessions looks like
+_DRIFTED = {"cpu_s": 2.8,
+            "share_pct": {"engine": 40.0, "cache": 20.0, "dram": 3.0,
+                          "warp": 37.0}}
+
+
+def test_layer_gate_reads_parent_layers_when_recorded():
+    before = _entry(pr=1)
+    # the whole host drifted 40% slower since the previous entry, but
+    # the same-session parent drifted with it: no regression
+    drifted = _entry(pr=2, layers=_DRIFTED, parent_layers=_DRIFTED)
+    assert layer_regressions(before, drifted) == []
+    # a layer that grew against the same-session parent is flagged even
+    # though the previous entry's seconds are larger still
+    slower = _entry(pr=2, layers={
+        "cpu_s": 1.0,
+        "share_pct": {"engine": 34.0, "cache": 26.0, "dram": 3.0,
+                      "warp": 37.0}},
+        parent_layers={"cpu_s": 1.0,
+                       "share_pct": {"engine": 40.0, "cache": 20.0,
+                                     "dram": 3.0, "warp": 37.0}})
+    assert layer_regressions(before, slower) == ["cache"]
+
+
+def test_layer_gate_falls_back_to_the_previous_entry():
+    before = _entry(pr=1)
+    # no parent profile recorded: host drift reads as a regression of
+    # every layer above the floor
+    assert layer_regressions(before, _entry(pr=2, layers=_DRIFTED)) \
+        == ["cache", "engine", "warp"]
+
+
+def test_gate_flags_incomplete_parent_layers():
+    entry = _entry(parent_layers=_DRIFTED)
+    del entry["parent_layers"]["KM/ccsm"]
+    assert missing_fields(entry) == ["parent_layers/KM/ccsm"]

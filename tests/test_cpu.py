@@ -65,7 +65,7 @@ class TestStoreBuffer:
 
         system, workload, _r = run_cpu_ops(tiny_config,
                                            CoherenceMode.CCSM, ops)
-        assert system.cpu_core.store_buffer.is_empty
+        assert not system.cpu_core.store_buffer
         # every value is architecturally visible
         base = workload.buffers["heap"]
         pa = system.page_table.translate(base + 99 * 32)
@@ -106,6 +106,39 @@ class TestStoreBuffer:
             assert stats["cpu.core.load_latency_ticks.samples"] == 0.0, \
                 value
             system.check_invariants()
+
+    def test_stores_drain_in_program_order(self, tiny_config):
+        """The store buffer is a FIFO: 40 stores to distinct lines fill
+        it behind its drain slots, and they still reach the memory
+        system in program order."""
+        system = IntegratedSystem(tiny_config, CoherenceMode.CCSM)
+        core = system.cpu_core
+        drained = []
+        memory_store = core._memory_store
+
+        def recording_store(translation, *args):
+            drained.append(translation.virtual_address)
+            memory_store(translation, *args)
+
+        core._memory_store = recording_store
+        workload = _CpuOnlyWorkload(lambda buffers: [
+            CpuOp.store(buffers["heap"] + i * 128, i) for i in range(40)])
+        system.run(workload)
+        base = workload.buffers["heap"]
+        assert drained == [base + i * 128 for i in range(40)]
+        assert core.stats.counter("store_buffer_stall_events").value > 0
+
+    def test_buffered_store_forwards(self, tiny_config):
+        core = IntegratedSystem(tiny_config, CoherenceMode.CCSM).cpu_core
+        core.store_buffer.append((0x10, 1))
+        core.store_buffer.append((0x10, 2))
+        assert core.forwards(0x10)
+        assert not core.forwards(0x20)
+
+    def test_valueless_store_still_forwards(self, tiny_config):
+        core = IntegratedSystem(tiny_config, CoherenceMode.CCSM).cpu_core
+        core.store_buffer.append((0x10, None))
+        assert core.forwards(0x10)
 
 
 class TestDirectStoreRouting:

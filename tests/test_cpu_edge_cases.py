@@ -35,7 +35,7 @@ class TestStoreBufferStall:
             return [CpuOp.store(base + i * 128, i) for i in range(400)]
 
         system, result = run(tiny_config, ops)
-        assert system.cpu_core.store_buffer.is_empty
+        assert not system.cpu_core.store_buffer
         assert system.cpu_core.stats.counter("ops_executed").value == 400
 
     def test_stall_counter_moves_under_pressure(self, tiny_config):

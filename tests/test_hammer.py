@@ -218,6 +218,21 @@ class TestDirectStoreExtension:
         read = system.load(GPU, 16 * stride, result.ready_tick)
         assert read.value == 99
 
+    def test_remote_store_fills_a_set_with_a_free_way(self):
+        system = build_system()
+        # an empty set, then a full set 0 and a different, free set 1
+        system.remote_store("cpu", GPU, 0, 1, 0)
+        assert system.agents[GPU].cache.probe(0) is not None
+        stride = 32 * 128
+        tick = 0
+        for way in range(1, 16):
+            tick = system.remote_store("cpu", GPU, way * stride, way,
+                                       tick).ready_tick
+        result = system.remote_store("cpu", GPU, 128, 7, tick)
+        assert system.stats.counter("ds_dram_bypass").value == 0
+        assert result.source == "local"
+        assert system.agents[GPU].cache.probe(128).state is HammerState.MM
+
     def test_uncached_cpu_load_reads_home_slice(self):
         system = build_system()
         t = system.remote_store("cpu", GPU, 0x4000, 31, 0).ready_tick

@@ -26,8 +26,6 @@ from repro.core.protocol_mode import CoherenceMode
 from repro.harness.resultcache import ResultCache, run_fingerprint
 from repro.harness.runner import run_benchmark
 from repro.telemetry import (
-    SAMPLE_INTERVAL_ENV,
-    TRACE_ENV,
     TRACER,
     IntervalSampler,
     Probe,
@@ -164,21 +162,6 @@ class TestSettings:
         assert settings.active
         assert settings.fingerprint_payload() == {
             "trace": True, "sample_interval": 500}
-
-    def test_from_env_overlays(self, monkeypatch):
-        monkeypatch.setenv(TRACE_ENV, "1")
-        monkeypatch.setenv(SAMPLE_INTERVAL_ENV, "250")
-        settings = TelemetrySettings.from_env()
-        assert settings.trace and settings.sample_interval == 250
-        # explicit base survives absent variables
-        monkeypatch.delenv(TRACE_ENV)
-        monkeypatch.delenv(SAMPLE_INTERVAL_ENV)
-        base = TelemetrySettings(trace=True, sample_interval=9)
-        assert TelemetrySettings.from_env(base) == base
-
-    def test_trace_env_zero_is_off(self, monkeypatch):
-        monkeypatch.setenv(TRACE_ENV, "0")
-        assert not TelemetrySettings.from_env().trace
 
 
 class TestTransparency:

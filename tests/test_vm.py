@@ -26,6 +26,13 @@ def make_page_table(memory=16 * 1024 * 1024):
     return PageTable(PhysicalFrameAllocator(memory))
 
 
+def detects(tlb, virtual_address, is_store):
+    """Did *tlb*'s direct-store comparator fire on this access?  The
+    MMU evaluates it inline on every translation."""
+    mmu = MMU("m", make_page_table(), tlb)
+    return mmu.translate(virtual_address, is_store).direct_store
+
+
 class TestFrameAllocator:
     def test_sequential_frames(self):
         frames = PhysicalFrameAllocator(4 * PAGE_SIZE)
@@ -174,23 +181,21 @@ class TestTLB:
 
     def test_detector_fires_on_window_store(self):
         tlb = TLB("t", 4, detector_enabled=True)
-        assert tlb.detect_direct_store(DIRECT_STORE_WINDOW_BASE + 64,
-                                       is_store=True)
+        assert detects(tlb, DIRECT_STORE_WINDOW_BASE + 64, is_store=True)
         assert tlb.stats.counter("direct_store_detections").value == 1
 
     def test_detector_ignores_loads(self):
         tlb = TLB("t", 4, detector_enabled=True)
-        assert not tlb.detect_direct_store(DIRECT_STORE_WINDOW_BASE,
-                                           is_store=False)
+        assert not detects(tlb, DIRECT_STORE_WINDOW_BASE, is_store=False)
+        assert tlb.stats.counter("direct_store_detections").value == 0
 
     def test_detector_ignores_heap_stores(self):
         tlb = TLB("t", 4, detector_enabled=True)
-        assert not tlb.detect_direct_store(0x1000_0000, is_store=True)
+        assert not detects(tlb, 0x1000_0000, is_store=True)
 
     def test_detector_disabled(self):
         tlb = TLB("t", 4, detector_enabled=False)
-        assert not tlb.detect_direct_store(DIRECT_STORE_WINDOW_BASE,
-                                           is_store=True)
+        assert not detects(tlb, DIRECT_STORE_WINDOW_BASE, is_store=True)
 
     def test_in_window_independent_of_detector(self):
         tlb = TLB("t", 4, detector_enabled=False)
