@@ -12,17 +12,13 @@ order, with identical statistics, whichever way it is produced:
 
 * **precompiled** — the workload builders attach the coalesce result to
   each op at trace build time (:meth:`coalesce_op` just records stats);
-* **NumPy batch** — a NumPy lane row is masked and deduplicated in one
-  vectorized shot;
-* **per-lane loop** — plain lane lists (hand-built traces) are walked
-  in Python.
+* **per-lane loop** — lanes of an op without a valid precompiled list
+  are walked once at issue time (:meth:`coalesce`).
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
-
-import numpy as np
 
 from repro.utils.bitops import is_power_of_two
 from repro.utils.statistics import StatsRegistry
@@ -57,14 +53,6 @@ class Coalescer:
         """Distinct line addresses touched, in first-lane order."""
         if len(lane_addresses) == 0:
             return []
-        if isinstance(lane_addresses, np.ndarray):
-            line_array = lane_addresses & self._line_mask
-            unique, first_index = np.unique(line_array, return_index=True)
-            if len(unique) > 1:
-                unique = unique[np.argsort(first_index)]
-            lines = unique.tolist()
-            self._record(len(lines))
-            return lines
         line_mask = self._line_mask
         seen = set()
         lines: List[int] = []

@@ -56,17 +56,8 @@ class MSHRFile:
         line *i* itself (the lines of a batch are distinct), never
         insert or retire another line's entry, so the mask computed here
         equals the mask a scalar per-line walk would have observed.
-        Wide batches compare against the (bounded, ≤ ``num_entries``)
-        in-flight key set as int64 arrays; small ones use dict lookups.
         """
         entries = self._entries
-        if len(line_addresses) >= 32 and entries:
-            import numpy as np
-            keys = np.fromiter(entries.keys(), dtype=np.int64,
-                               count=len(entries))
-            lines = np.fromiter(line_addresses, dtype=np.int64,
-                                count=len(line_addresses))
-            return np.isin(lines, keys).tolist()
         return [line in entries for line in line_addresses]
 
     @property

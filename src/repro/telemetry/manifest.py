@@ -64,16 +64,10 @@ def config_fingerprint(config) -> Optional[str]:
 
 def run_manifest(config=None) -> dict:
     """Provenance record for one run or batch of runs."""
-    try:
-        import numpy
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:
-        numpy_version = None
     return {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "python_version": platform.python_version(),
         "python_implementation": platform.python_implementation(),
-        "numpy_version": numpy_version,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "git_sha": git_revision(),

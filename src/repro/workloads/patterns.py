@@ -16,25 +16,24 @@ Conventions:
 * GPU ops are emitted per warp; callers distribute warps over SMs via
   the kernel launch.
 
-The GPU builders are NumPy-vectorized: each pattern computes one
-(ops × lanes) address matrix with broadcasting, emits ops whose
-``addresses`` are contiguous row views into it, and precompiles every
-op's coalesced line list (:func:`repro.workloads.trace.coalesce_rows`)
-so the SM never walks lanes in Python at issue time.
+The GPU builders emit every memory op with its coalesced line list
+precompiled, so the SM never walks lanes at issue time.  A one-line
+row (stream and broadcast patterns) is a ``range`` of lane addresses
+whose line list comes straight from its line base; divergent rows
+(strided and gather patterns) are tuples, coalesced once at build time.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.workloads.trace import (
     CpuOp,
     OpKind,
     WarpOp,
     WarpProgram,
+    coalesce_addresses,
     coalesce_rows,
 )
 
@@ -71,9 +70,9 @@ def cpu_consume(base: int, nbytes: int,
 # GPU-side patterns
 # ----------------------------------------------------------------------
 
-def _mem_op(row, is_store: bool, value: Optional[int],
+def _mem_op(row: Sequence[int], is_store: bool, value: Optional[int],
             lines: List[int], line_size: int) -> WarpOp:
-    """A load/store op over a matrix row with precompiled lines."""
+    """A load/store op over one lane row with precompiled lines."""
     if is_store:
         return WarpOp(OpKind.STORE, addresses=row, value=value,
                       lines=lines, lines_size=line_size)
@@ -81,11 +80,23 @@ def _mem_op(row, is_store: bool, value: Optional[int],
                   lines=lines, lines_size=line_size)
 
 
-def _line_matrix(base: int, num_lines: int, lanes: int,
-                 line_size: int) -> "np.ndarray":
-    """Address matrix for one access per line: row *i* covers line *i*."""
-    line_bases = base + np.arange(num_lines, dtype=np.int64) * line_size
-    return line_bases[:, None] + np.arange(lanes, dtype=np.int64) * WORD
+def _line_rows(base: int, num_lines: int, lanes: int, line_size: int
+               ) -> Iterator[Tuple[range, List[int]]]:
+    """One consecutive-word lane row per line, with its coalesced lines.
+
+    Row *i* starts at line *i*'s base.  A row that stays inside one line
+    (the usual case: 32 lanes × 4 bytes = one 128-byte line) takes its
+    line list straight from that base; a row that crosses a line
+    boundary is coalesced lane by lane.
+    """
+    line_mask = ~(line_size - 1)
+    span = (lanes - 1) * WORD
+    for line_base in range(base, base + num_lines * line_size, line_size):
+        row = range(line_base, line_base + lanes * WORD, WORD)
+        if line_base & line_mask == (line_base + span) & line_mask:
+            yield row, [line_base & line_mask]
+        else:
+            yield row, coalesce_addresses(row, line_size)
 
 
 def stream_warps(base: int, nbytes: int, num_warps: int,
@@ -101,15 +112,12 @@ def stream_warps(base: int, nbytes: int, num_warps: int,
     kernels re-reading their input).
     """
     num_lines = max(1, nbytes // line_size)
-    matrix = _line_matrix(base, num_lines, lanes, line_size)
-    lines_per_row = coalesce_rows(matrix, line_size)
     programs = [WarpProgram() for _ in range(num_warps)]
     # ops are immutable once built, so each line's op group is created
     # once and the objects shared across reuse iterations
     per_line: List[List[WarpOp]] = []
-    for line_index in range(num_lines):
-        group = [_mem_op(matrix[line_index], is_store, value,
-                         lines_per_row[line_index], line_size)]
+    for row, lines in _line_rows(base, num_lines, lanes, line_size):
+        group = [_mem_op(row, is_store, value, lines, line_size)]
         if compute_per_line:
             group.append(WarpOp.compute(compute_per_line))
         if shmem_per_line:
@@ -136,14 +144,13 @@ def strided_warps(base: int, nbytes: int, num_warps: int,
     num_lines = max(1, nbytes // line_size)
     programs = [WarpProgram() for _ in range(num_warps)]
     accesses = max(1, num_lines // lanes)
-    flat = np.arange(accesses * lanes, dtype=np.int64)
-    line_indices = (flat * stride_lines % num_lines).reshape(
-        accesses, lanes)
-    matrix = base + line_indices * line_size
-    lines_per_row = coalesce_rows(matrix, line_size)
-    for group in range(accesses):
+    rows = [tuple(base + (flat * stride_lines % num_lines) * line_size
+                  for flat in range(group * lanes, (group + 1) * lanes))
+            for group in range(accesses)]
+    lines_per_row = coalesce_rows(rows, line_size)
+    for group, row in enumerate(rows):
         warp = programs[group % num_warps]
-        warp.ops.append(_mem_op(matrix[group], is_store, value,
+        warp.ops.append(_mem_op(row, is_store, value,
                                 lines_per_row[group], line_size))
         if compute_per_access:
             warp.ops.append(WarpOp.compute(compute_per_access))
@@ -162,15 +169,12 @@ def broadcast_warps(base: int, nbytes: int, num_warps: int,
     """
     num_lines = max(1, nbytes // line_size)
     programs = [WarpProgram() for _ in range(num_warps)]
-    # one shared matrix: every warp re-reads the same rows/lines.
-    # Ops are immutable once built, so the whole sweep is created
-    # once and the op objects shared across warps and repeats.
-    matrix = _line_matrix(base, num_lines, lanes, line_size)
-    lines_per_row = coalesce_rows(matrix, line_size)
+    # every warp re-reads the same rows/lines.  Ops are immutable once
+    # built, so the whole sweep is created once and the op objects
+    # shared across warps and repeats.
     sweep: List[WarpOp] = []
-    for line_index in range(num_lines):
-        sweep.append(_mem_op(matrix[line_index], False, None,
-                             lines_per_row[line_index], line_size))
+    for row, lines in _line_rows(base, num_lines, lanes, line_size):
+        sweep.append(_mem_op(row, False, None, lines, line_size))
         if compute_per_line:
             sweep.append(WarpOp.compute(compute_per_line))
     for warp in programs:
@@ -192,18 +196,13 @@ def gather_warps(base: int, nbytes: int, num_warps: int,
     """
     elements = max(1, nbytes // WORD)
     programs = [WarpProgram() for _ in range(num_warps)]
-    flat = base + (np.asarray(indices, dtype=np.int64)
-                   % elements) * WORD
-    line_mask = ~(line_size - 1)
-    # one bulk conversion; per-group work is then pure list slicing
-    masked_list = (flat & line_mask).tolist()
-    for group_start in range(0, len(indices), lanes):
+    flat = [base + (index % elements) * WORD for index in indices]
+    for group_start in range(0, len(flat), lanes):
         warp = programs[(group_start // lanes) % num_warps]
-        row = flat[group_start:group_start + lanes]
-        lines = list(dict.fromkeys(
-            masked_list[group_start:group_start + lanes]))
-        warp.ops.append(WarpOp(OpKind.LOAD, addresses=row,
-                               lines=lines, lines_size=line_size))
+        row = tuple(flat[group_start:group_start + lanes])
+        warp.ops.append(_mem_op(row, False, None,
+                                coalesce_addresses(row, line_size),
+                                line_size))
         if compute_per_access:
             warp.ops.append(WarpOp.compute(compute_per_access))
     return programs

@@ -15,22 +15,20 @@ them at execution time, which is what lets the same trace run under
 CCSM (heap addresses) and direct store (reserved-window addresses) —
 the workload builder simply asks the allocator for the buffer bases.
 
-Lane addresses of a :class:`WarpOp` may be a plain tuple or a contiguous
-NumPy row (the vectorized trace builders in
-:mod:`repro.workloads.patterns` emit views into one per-pattern address
-matrix).  Memory ops can additionally carry their *precompiled* coalesced
-line list — the exact first-lane-order output of
-:meth:`repro.gpu.coalescer.Coalescer.coalesce` — computed once at
-workload build time so the SM's issue path only records statistics.
+Lane addresses of a :class:`WarpOp` are any sequence of ints: a tuple,
+or a ``range`` for a row of consecutive words (the trace builders in
+:mod:`repro.workloads.patterns` emit both).  Memory ops can additionally
+carry their *precompiled* coalesced line list — the exact
+first-lane-order output of :meth:`repro.gpu.coalescer.Coalescer.coalesce`
+— computed once at workload build time so the SM's issue path only
+records statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 
 class OpKind(Enum):
@@ -72,8 +70,8 @@ class WarpOp:
     """One warp-wide GPU operation.
 
     For memory ops, *addresses* holds the per-lane byte addresses of one
-    vector instruction (a tuple, or a NumPy row from the vectorized
-    builders); the coalescer merges them into line requests.  When
+    vector instruction (a tuple, or a ``range`` for consecutive words);
+    the coalescer merges them into line requests.  When
     *lines* is set it is the precompiled coalesce result for line size
     *lines_size* — distinct line addresses in first-lane order.
     """
@@ -115,46 +113,24 @@ def coalesce_addresses(lane_addresses: Sequence[int],
     """Reference coalescing: distinct line addresses, first-lane order.
 
     This is the semantic contract every coalescing path (per-lane loop,
-    NumPy batch, precompiled lines) must reproduce exactly.
+    precompiled lines) must reproduce exactly.
     """
     line_mask = ~(line_size - 1)
-    return list(dict.fromkeys(int(address) & line_mask
-                              for address in lane_addresses))
+    return list(dict.fromkeys([address & line_mask
+                               for address in lane_addresses]))
 
 
-def coalesce_rows(matrix: "np.ndarray", line_size: int) -> List[List[int]]:
-    """Per-row coalescing of an (ops, lanes) address matrix.
-
-    One vectorized pass masks every lane to its line and classifies rows
-    that collapse to a single line (the fully-coalesced common case);
-    only divergent rows pay a per-row dedup.  Row order and within-row
-    first-lane order match :func:`coalesce_addresses`.
-    """
-    lines = matrix & ~(line_size - 1)
-    firsts = lines[:, 0].tolist()
-    uniform = (lines == lines[:, :1]).all(axis=1)
-    if bool(uniform.all()):
-        return [[first] for first in firsts]
-    out: List[List[int]] = []
-    rows = lines.tolist()
-    for index, is_uniform in enumerate(uniform.tolist()):
-        if is_uniform:
-            out.append([firsts[index]])
-        else:
-            out.append(list(dict.fromkeys(rows[index])))
-    return out
+def coalesce_rows(rows: Sequence[Sequence[int]],
+                  line_size: int) -> List[List[int]]:
+    """:func:`coalesce_addresses` of every lane row, in row order."""
+    return [coalesce_addresses(row, line_size) for row in rows]
 
 
 def precompile_op(op: WarpOp, line_size: int) -> None:
     """Attach the precompiled coalesced line list to one memory op."""
     if op.kind not in _MEMORY_KINDS or op.lines_size == line_size:
         return
-    addresses = op.addresses
-    if isinstance(addresses, np.ndarray):
-        masked = addresses & ~(line_size - 1)
-        op.lines = list(dict.fromkeys(masked.tolist()))
-    else:
-        op.lines = coalesce_addresses(addresses, line_size)
+    op.lines = coalesce_addresses(op.addresses, line_size)
     op.lines_size = line_size
 
 
@@ -207,7 +183,7 @@ def precompile_phases(phases: Sequence[object], line_size: int) -> None:
     """Precompile coalesced lines for every kernel in a phase list.
 
     Called by the system before execution so kernels built by hand —
-    without the vectorized pattern helpers — still skip the per-lane
+    without the pattern helpers — still skip the per-lane
     coalescing loop at issue time.
     """
     for phase in phases:

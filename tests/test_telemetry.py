@@ -318,10 +318,10 @@ class TestRoundTrip:
 class TestManifest:
     def test_contents(self):
         manifest = run_manifest(SystemConfig())
-        for key in ("timestamp", "python_version", "numpy_version",
-                    "platform", "git_sha", "git_dirty",
-                    "config_fingerprint", "argv"):
-            assert key in manifest
+        assert set(manifest) == {
+            "timestamp", "python_version", "python_implementation",
+            "platform", "cpu_count", "git_sha", "git_dirty",
+            "config_fingerprint", "argv"}
         assert manifest["timestamp"].endswith("+00:00") \
             or manifest["timestamp"].endswith("Z")
 

@@ -4,8 +4,9 @@ Each batch entry point of the GPU memory pipeline must be
 *bit-identical* to its per-item contract — same line lists, same
 statistics, same LRU motion:
 
-* the coalescer's NumPy path (ndarray lanes) and its per-lane loop
-  (plain lane lists, the "scalar" side below) against
+* the coalescer's per-lane loop over every lane container the trace
+  builders emit (lists, the "scalar" side below, against the same lanes
+  as tuples and, where consecutive, ranges) against
   :func:`~repro.workloads.trace.coalesce_addresses`, including the edge
   cases empty lane list, all-one-line, fully-divergent fan-out and
   unaligned addresses, plus a property-style randomized sweep with a
@@ -20,7 +21,6 @@ End-to-end, the suite points are checked against the committed
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.gpu.coalescer import Coalescer
@@ -48,19 +48,20 @@ def coalescer_stats(coalescer: Coalescer):
 
 
 class TestCoalescerEdgeCases:
-    """The edge cases, identical for list and ndarray lanes."""
+    """The edge cases, identical for list, tuple and range lanes."""
 
     def both(self, lanes):
         scalar = make_coalescer()
-        vectorized = make_coalescer()
+        tupled = make_coalescer()
         result_scalar = scalar.coalesce(list(lanes))
-        result_vec = vectorized.coalesce(np.asarray(lanes, dtype=np.int64))
-        assert result_scalar == result_vec == coalesce_addresses(lanes, 128)
-        assert coalescer_stats(scalar) == coalescer_stats(vectorized)
+        result_tuple = tupled.coalesce(tuple(lanes))
+        assert result_scalar == result_tuple == coalesce_addresses(lanes, 128)
+        assert coalescer_stats(scalar) == coalescer_stats(tupled)
         return result_scalar
 
     def test_empty_lane_list(self):
         assert self.both([]) == []
+        assert self.both(range(0)) == []
         # an empty access records nothing, precompiled or not
         coalescer = make_coalescer()
         coalescer.coalesce([])
@@ -72,10 +73,12 @@ class TestCoalescerEdgeCases:
     def test_all_lanes_one_line(self):
         lanes = [0x2000 + 4 * lane for lane in range(32)]
         assert self.both(lanes) == [0x2000]
+        assert self.both(range(0x2000, 0x2080, 4)) == [0x2000]
 
     def test_fully_divergent_fanout(self):
         lanes = [0x8000 + 128 * lane for lane in range(32)]
         assert self.both(lanes) == lanes
+        assert self.both(range(0x8000, 0x9000, 128)) == lanes
 
     def test_unaligned_addresses(self):
         lanes = [0x1003, 0x10FF, 0x1101, 0x2001, 0x1086]
@@ -110,21 +113,21 @@ class TestCoalescerRandomized:
             yield [rng.randrange(span) for _ in range(count)]
 
     def test_scalar_vectorized_and_reference_agree(self):
+        """List lanes and the same lanes as a tuple (the container the
+        strided and gather builders emit) give the reference lines."""
         scalar = make_coalescer()
-        vectorized = make_coalescer()
+        tupled = make_coalescer()
         for lanes in self.lane_lists():
             expected = coalesce_addresses(lanes, 128)
             assert scalar.coalesce(lanes) == expected
-            assert vectorized.coalesce(
-                np.asarray(lanes, dtype=np.int64)) == expected
-        assert coalescer_stats(scalar) == coalescer_stats(vectorized)
+            assert tupled.coalesce(tuple(lanes)) == expected
+        assert coalescer_stats(scalar) == coalescer_stats(tupled)
 
     def test_precompiled_ops_match_scalar(self):
         scalar = make_coalescer()
         precompiled = make_coalescer()
         for lanes in self.lane_lists():
-            op = WarpOp(OpKind.LOAD,
-                        addresses=np.asarray(lanes, dtype=np.int64))
+            op = WarpOp(OpKind.LOAD, addresses=tuple(lanes))
             precompile_op(op, 128)
             assert op.lines_size == 128
             assert precompiled.coalesce_op(op) == scalar.coalesce(lanes)
@@ -132,10 +135,14 @@ class TestCoalescerRandomized:
 
     def test_coalesce_rows_matches_reference(self):
         rng = random.Random(self.SEED)
-        matrix = [[rng.randrange(1 << 16) for _ in range(32)]
+        matrix = [tuple(rng.randrange(1 << 16) for _ in range(32))
                   for _ in range(64)]
-        rows = coalesce_rows(np.asarray(matrix, dtype=np.int64), 128)
-        assert rows == [coalesce_addresses(row, 128) for row in matrix]
+        # consecutive-word rows, one inside a line and one crossing it
+        matrix += [range(0x4000, 0x4080, 4), range(0x4040, 0x40C0, 4)]
+        rows = coalesce_rows(matrix, 128)
+        assert rows == [coalesce_addresses(list(row), 128)
+                        for row in matrix]
+        assert rows[-2:] == [[0x4000], [0x4000, 0x4080]]
 
     def test_precompile_is_idempotent(self):
         op = WarpOp.load([0x0, 0x4, 0x100])

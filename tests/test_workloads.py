@@ -1,5 +1,10 @@
 """Tests for the workload layer: patterns, graphs, the Table II suite."""
 
+import hashlib
+import json
+import math
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,8 +137,8 @@ class TestGpuPatterns:
         assert kinds == [OpKind.LOAD, OpKind.STORE] * 4
 
     def test_builders_match_per_lane_loops(self):
-        """The NumPy builders emit the addresses of a per-lane loop,
-        with precompiled lines equal to coalescing those lanes."""
+        """The builders emit the addresses of a per-lane loop, with
+        precompiled lines equal to coalescing those lanes."""
         base, lanes, line, warps = 0x40000, 32, 128, 3
 
         def expected(rows, warp_of):
@@ -146,7 +151,7 @@ class TestGpuPatterns:
             for program in programs:
                 for op in program.ops:
                     assert op.lines == coalesce_addresses(op.addresses, line)
-            return [[[int(a) for a in op.addresses] for op in program.ops]
+            return [[list(op.addresses) for op in program.ops]
                     for program in programs]
 
         stream = [[base + index * line + 4 * lane for lane in range(lanes)]
@@ -168,6 +173,16 @@ class TestGpuPatterns:
         assert emitted(gather_warps(base, 4096, warps, indices)) == \
             expected(gathered, lambda group: group % warps)
 
+    @pytest.mark.parametrize("base,line", [(0x40000, 64), (0x40010, 128)])
+    def test_rows_crossing_a_line_keep_every_line(self, base, line):
+        """A consecutive-word row wider than a line, or not line
+        aligned, precompiles both of the lines it touches."""
+        for programs in (stream_warps(base, 8 * line, 2, line_size=line),
+                         broadcast_warps(base, 8 * line, 2, line_size=line)):
+            for op in (op for program in programs for op in program.ops):
+                assert op.lines == coalesce_addresses(op.addresses, line)
+                assert len(op.lines) == 2
+
     @given(st.integers(min_value=128, max_value=1 << 16),
            st.integers(min_value=1, max_value=64))
     @settings(max_examples=30)
@@ -177,32 +192,117 @@ class TestGpuPatterns:
         assert total_ops == max(1, nbytes // 128)
 
 
+def reachable(adjacency, source=0):
+    """Nodes a breadth-first search from *source* reaches."""
+    seen = {source}
+    frontier = deque([source])
+    while frontier:
+        for neighbor in adjacency[frontier.popleft()]:
+            if neighbor not in seen:
+                seen.add(neighbor)
+                frontier.append(neighbor)
+    return seen
+
+
+def number_of_edges(adjacency):
+    return sum(len(neighbors) for neighbors in adjacency.values()) // 2
+
+
+def csr_digest(graph):
+    return hashlib.sha256(json.dumps(csr_arrays(graph)).encode()).hexdigest()
+
+
 class TestGraphs:
     def test_power_grid_connected_and_sparse(self):
-        import networkx as nx
         graph = power_grid_graph(200, seed=1)
-        assert nx.is_connected(graph)
-        average_degree = 2 * graph.number_of_edges() / len(graph)
+        assert reachable(graph) == set(graph)
+        average_degree = 2 * number_of_edges(graph) / len(graph)
         assert 2 <= average_degree <= 6
 
     def test_delaunay_like_connected(self):
-        import networkx as nx
         graph = delaunay_like_graph(300, seed=1)
-        assert nx.is_connected(graph)
+        assert reachable(graph) == set(graph)
 
     def test_deterministic(self):
         a = power_grid_graph(100, seed=7)
         b = power_grid_graph(100, seed=7)
-        assert sorted(a.edges) == sorted(b.edges)
+        assert a == b
 
     def test_csr_well_formed(self):
         graph = power_grid_graph(64, seed=2)
         offsets, columns = csr_arrays(graph)
         assert len(offsets) == len(graph) + 1
-        assert offsets[-1] == len(columns) == 2 * graph.number_of_edges()
+        assert offsets[-1] == len(columns) == 2 * number_of_edges(graph)
         assert all(offsets[i] <= offsets[i + 1]
                    for i in range(len(offsets) - 1))
         assert all(0 <= c < len(graph) for c in columns)
+
+    def test_neighbours_ascending_and_symmetric(self):
+        for graph in (power_grid_graph(300, seed=3),
+                      delaunay_like_graph(300, seed=3)):
+            for node, neighbors in graph.items():
+                assert neighbors == sorted(set(neighbors))
+                assert node not in neighbors
+                assert all(node in graph[other] for other in neighbors)
+
+
+class TestGraphPins:
+    """The Pannotia inputs, byte for byte.
+
+    sha256 of the JSON ``csr_arrays`` of the graphs the suite builds,
+    recorded from networkx's ``connected_watts_strogatz_graph`` and
+    ``random_geometric_graph`` (with its component bridging): the small
+    input at the first ten benchmark seeds, the big input at four.
+    """
+
+    POWER_GRID_4941 = [
+        "bb1d893e8817933896416b4d225aab0f8ed6ac0684bf97e374c2ec6a2f991afd",
+        "2ec31fbc7a9c9465311aff5953e819479703cabc2685c5f327b94916dd2fc181",
+        "79d32ef7300249d9b43ef080c3c1dcaa58571e8955ee1353577371b47519898e",
+        "7c83ca60f9d87a09a65bdbe11e494f5f072baf568163d9775c8110e171019655",
+        "96e5d0257dfbceab0cafe9f105902615cac3b487ac23a3f6f28a605ff012e456",
+        "9707ca059c2324611d0056524250d2a98d70cac4f176e8815c0c00a713b55ce0",
+        "8a07d0dbbdec7daa17086d0f7b6a8dadb2540d19455baac6b9975641e70c38d7",
+        "18b8ccf8638109b9607d530268e95c95bfe9e7942376630f0c63ec740a3c82c6",
+        "b2f41e9eb46760dbeaebd2464a92442f0bfcb875698f4f9577a78e2e049585c3",
+        "9d2b5196150fc1a4525d6ea174e8551ff884787fef235fef9e26f4b2174c2aa3",
+    ]
+    DELAUNAY_8192 = [
+        "d8a93883322d3f32b306060be71d24dae152cfa76ed85083a14641b77a6acec1",
+        "ab4d222fcfd7cf547aab260d559ebceea59796544b026d8a803e8d8e4c6d4c7f",
+        "0ebe96aba867f97269252cee5f21979baff14b36c4334fe2682f625a746bec26",
+        "5311db990276f29f13a9fd2fe8b6687d059a5aff2d1dbe760c79a53083e9711c",
+    ]
+
+    @pytest.mark.parametrize("offset", range(len(POWER_GRID_4941)))
+    def test_power_grid_small_input(self, offset):
+        graph = power_grid_graph(4941, BuildContext.seed + offset)
+        assert csr_digest(graph) == self.POWER_GRID_4941[offset]
+
+    @pytest.mark.parametrize("offset", range(len(DELAUNAY_8192)))
+    def test_delaunay_big_input(self, offset):
+        graph = delaunay_like_graph(8192, BuildContext.seed + offset)
+        assert csr_digest(graph) == self.DELAUNAY_8192[offset]
+
+    def test_matches_networkx_generators(self):
+        """Against networkx itself, where it is installed."""
+        nx = pytest.importorskip("networkx")
+        for seed in range(50):
+            for nodes in (20, 150):
+                reference = nx.connected_watts_strogatz_graph(
+                    nodes, k=4, p=0.05, seed=seed, tries=200)
+                assert csr_arrays(power_grid_graph(nodes, seed)) == \
+                    csr_arrays(reference), (nodes, seed)
+            for nodes in (30, 300):
+                radius = math.sqrt(6.0 / (math.pi * nodes))
+                reference = nx.random_geometric_graph(nodes, radius,
+                                                      seed=seed)
+                components = list(nx.connected_components(reference))
+                for previous, current in zip(components, components[1:]):
+                    reference.add_edge(next(iter(previous)),
+                                       next(iter(current)))
+                assert csr_arrays(delaunay_like_graph(nodes, seed)) == \
+                    csr_arrays(reference), (nodes, seed)
 
 
 class TestSuite:
