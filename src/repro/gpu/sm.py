@@ -68,11 +68,15 @@ def _compile_ops(program: WarpProgram, period_ticks: int,
              else _K_OTHER
              for op in ops]
     shmem_ticks = shmem_latency_cycles * period_ticks
-    deltas = [(op.cycles if op.cycles > 1 else 1) * period_ticks
-              if code == _K_COMPUTE else
-              (op.cycles if op.cycles > 1 else 1) * shmem_ticks
-              if code == _K_SHMEM else 0
-              for code, op in zip(kinds, ops)]
+    # equal deltas are one int object: a long trace repeats a handful of
+    # cycle counts, and each product would otherwise be a fresh int
+    shared: Dict[int, int] = {}
+    deltas = [shared.setdefault(delta, delta) for delta in (
+        (op.cycles if op.cycles > 1 else 1) * period_ticks
+        if code == _K_COMPUTE else
+        (op.cycles if op.cycles > 1 else 1) * shmem_ticks
+        if code == _K_SHMEM else 0
+        for code, op in zip(kinds, ops))]
     try:
         program._sm_compiled = (key, kinds, deltas)
     except AttributeError:  # slotted/frozen program: recompile per launch

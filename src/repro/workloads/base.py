@@ -14,6 +14,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from repro.workloads.patterns import shared_ops
 from repro.workloads.trace import precompile_phases
 
 #: alloc(name, size_bytes, gpu_accessed) -> base virtual address
@@ -69,13 +70,16 @@ class Workload(ABC):
     def build_phases(self, ctx: BuildContext) -> List[object]:
         """Build the phase list, then precompile warp lane addresses.
 
-        This is the entry point the system uses: after :meth:`build`
-        returns, every kernel memory op gets its coalesced line list
-        attached for *ctx.line_size*
-        (:func:`repro.workloads.trace.precompile_phases`) so the SM
-        never walks lanes in Python at issue time.
+        This is the entry point the system uses.  :meth:`build` runs
+        inside a :func:`repro.workloads.patterns.shared_ops` pool, so
+        equal trace pieces within this build are one object and none is
+        shared with another build.  After it returns, every kernel
+        memory op gets its coalesced line list attached for
+        *ctx.line_size* (:func:`repro.workloads.trace.precompile_phases`)
+        so the SM never walks lanes in Python at issue time.
         """
-        phases = self.build(ctx)
+        with shared_ops():
+            phases = self.build(ctx)
         precompile_phases(phases, ctx.line_size)
         return phases
 

@@ -21,12 +21,32 @@ precompiled, so the SM never walks lanes at issue time.  A one-line
 row (stream and broadcast patterns) is a ``range`` of lane addresses
 whose line list comes straight from its line base; divergent rows
 (strided and gather patterns) are tuples, coalesced once at build time.
+
+Trace pieces are immutable once built and shared within one build.
+:meth:`repro.workloads.base.Workload.build_phases` opens a pool
+(:func:`shared_ops`) for the duration of :meth:`~Workload.build`; inside
+it, equal pieces are one object:
+
+* the ``(row, lines)`` pairs of a consecutive-word sweep, keyed by
+  ``(base, num_lines, lanes, line_size)`` — a load and a store of the
+  same line share one row and one line list;
+* the memory ops of a sweep, keyed by that key plus ``(is_store,
+  value)`` — a load sweep repeated pass after pass is one list of ops,
+  while stores of different values stay distinct;
+* compute and shared-memory bubbles, keyed by ``(kind, cycles)``.
+
+Strided and gather rows are fresh tuples that never repeat, so they are
+not pooled.  The pool lives in a :class:`~contextvars.ContextVar`, so
+builds on different threads never share objects; a helper called
+outside a build creates fresh objects on every call.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.workloads.trace import (
     CpuOp,
@@ -40,6 +60,21 @@ from repro.workloads.trace import (
 WORD = 4
 #: CPU produce-granularity: one trace store covers 32 bytes
 CPU_STORE_BYTES = 32
+
+#: the open build's pool of shared trace pieces (module docstring), or
+#: None outside a build
+_POOL: ContextVar[Optional[Dict[tuple, object]]] = ContextVar(
+    "trace_op_pool", default=None)
+
+
+@contextmanager
+def shared_ops() -> Iterator[None]:
+    """Share equal trace pieces among the helpers called in this block."""
+    token = _POOL.set({})
+    try:
+        yield
+    finally:
+        _POOL.reset(token)
 
 
 # ----------------------------------------------------------------------
@@ -70,6 +105,28 @@ def cpu_consume(base: int, nbytes: int,
 # GPU-side patterns
 # ----------------------------------------------------------------------
 
+def _bubble(kind: OpKind, cycles: int) -> WarpOp:
+    pool = _POOL.get()
+    if pool is None:
+        return WarpOp(kind, cycles=cycles)
+    key = (kind, cycles)
+    op = pool.get(key)
+    if op is None:
+        op = pool[key] = WarpOp(kind, cycles=cycles)
+    return op
+
+
+def compute_op(cycles: int) -> WarpOp:
+    """A compute bubble of *cycles*, shared with equal ones in a build."""
+    return _bubble(OpKind.COMPUTE, cycles)
+
+
+def shmem_op(cycles: int) -> WarpOp:
+    """A shared-memory burst of *cycles*, shared with equal ones in a
+    build."""
+    return _bubble(OpKind.SHMEM, cycles)
+
+
 def _mem_op(row: Sequence[int], is_store: bool, value: Optional[int],
             lines: List[int], line_size: int) -> WarpOp:
     """A load/store op over one lane row with precompiled lines."""
@@ -81,7 +138,7 @@ def _mem_op(row: Sequence[int], is_store: bool, value: Optional[int],
 
 
 def _line_rows(base: int, num_lines: int, lanes: int, line_size: int
-               ) -> Iterator[Tuple[range, List[int]]]:
+               ) -> List[Tuple[range, List[int]]]:
     """One consecutive-word lane row per line, with its coalesced lines.
 
     Row *i* starts at line *i*'s base.  A row that stays inside one line
@@ -91,12 +148,39 @@ def _line_rows(base: int, num_lines: int, lanes: int, line_size: int
     """
     line_mask = ~(line_size - 1)
     span = (lanes - 1) * WORD
+    rows = []
     for line_base in range(base, base + num_lines * line_size, line_size):
         row = range(line_base, line_base + lanes * WORD, WORD)
         if line_base & line_mask == (line_base + span) & line_mask:
-            yield row, [line_base & line_mask]
+            rows.append((row, [line_base & line_mask]))
         else:
-            yield row, coalesce_addresses(row, line_size)
+            rows.append((row, coalesce_addresses(row, line_size)))
+    return rows
+
+
+def _line_ops(base: int, num_lines: int, lanes: int, line_size: int,
+              is_store: bool, value: Optional[int]) -> List[WarpOp]:
+    """One memory op per line of a consecutive-word sweep, in line order.
+
+    Inside a build the rows, line lists and ops come from the build's
+    pool (module docstring), and so does the returned list: callers
+    copy from it and never mutate it.
+    """
+    pool = _POOL.get()
+    if pool is None:  # outside a build: a pool for this call only
+        pool = {}
+    rows_key = (base, num_lines, lanes, line_size)
+    rows = pool.get(rows_key)
+    if rows is None:
+        rows = pool[rows_key] = _line_rows(base, num_lines, lanes,
+                                           line_size)
+    ops_key = (rows_key, is_store, value)
+    ops = pool.get(ops_key)
+    if ops is None:
+        ops = pool[ops_key] = [
+            _mem_op(row, is_store, value, lines, line_size)
+            for row, lines in rows]
+    return ops
 
 
 def stream_warps(base: int, nbytes: int, num_warps: int,
@@ -115,14 +199,14 @@ def stream_warps(base: int, nbytes: int, num_warps: int,
     programs = [WarpProgram() for _ in range(num_warps)]
     # ops are immutable once built, so each line's op group is created
     # once and the objects shared across reuse iterations
-    per_line: List[List[WarpOp]] = []
-    for row, lines in _line_rows(base, num_lines, lanes, line_size):
-        group = [_mem_op(row, is_store, value, lines, line_size)]
-        if compute_per_line:
-            group.append(WarpOp.compute(compute_per_line))
-        if shmem_per_line:
-            group.append(WarpOp.shmem(shmem_per_line))
-        per_line.append(group)
+    bubbles: List[WarpOp] = []
+    if compute_per_line:
+        bubbles.append(compute_op(compute_per_line))
+    if shmem_per_line:
+        bubbles.append(shmem_op(shmem_per_line))
+    per_line = [[op, *bubbles]
+                for op in _line_ops(base, num_lines, lanes, line_size,
+                                    is_store, value)]
     for _iteration in range(reuse):
         for line_index in range(num_lines):
             programs[line_index % num_warps].ops.extend(
@@ -148,12 +232,13 @@ def strided_warps(base: int, nbytes: int, num_warps: int,
                   for flat in range(group * lanes, (group + 1) * lanes))
             for group in range(accesses)]
     lines_per_row = coalesce_rows(rows, line_size)
+    compute = compute_op(compute_per_access) if compute_per_access else None
     for group, row in enumerate(rows):
         warp = programs[group % num_warps]
         warp.ops.append(_mem_op(row, is_store, value,
                                 lines_per_row[group], line_size))
-        if compute_per_access:
-            warp.ops.append(WarpOp.compute(compute_per_access))
+        if compute is not None:
+            warp.ops.append(compute)
     return programs
 
 
@@ -172,11 +257,12 @@ def broadcast_warps(base: int, nbytes: int, num_warps: int,
     # every warp re-reads the same rows/lines.  Ops are immutable once
     # built, so the whole sweep is created once and the op objects
     # shared across warps and repeats.
-    sweep: List[WarpOp] = []
-    for row, lines in _line_rows(base, num_lines, lanes, line_size):
-        sweep.append(_mem_op(row, False, None, lines, line_size))
-        if compute_per_line:
-            sweep.append(WarpOp.compute(compute_per_line))
+    loads = _line_ops(base, num_lines, lanes, line_size, False, None)
+    if compute_per_line:
+        compute = compute_op(compute_per_line)
+        sweep = [op for load in loads for op in (load, compute)]
+    else:
+        sweep = loads
     for warp in programs:
         for _repeat in range(repeats):
             warp.ops.extend(sweep)
@@ -197,14 +283,15 @@ def gather_warps(base: int, nbytes: int, num_warps: int,
     elements = max(1, nbytes // WORD)
     programs = [WarpProgram() for _ in range(num_warps)]
     flat = [base + (index % elements) * WORD for index in indices]
+    compute = compute_op(compute_per_access) if compute_per_access else None
     for group_start in range(0, len(flat), lanes):
         warp = programs[(group_start // lanes) % num_warps]
         row = tuple(flat[group_start:group_start + lanes])
         warp.ops.append(_mem_op(row, False, None,
                                 coalesce_addresses(row, line_size),
                                 line_size))
-        if compute_per_access:
-            warp.ops.append(WarpOp.compute(compute_per_access))
+        if compute is not None:
+            warp.ops.append(compute)
     return programs
 
 

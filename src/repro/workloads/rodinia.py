@@ -30,6 +30,7 @@ from repro.workloads.patterns import (
     interleave_warp_programs,
     merge_warp_programs,
     random_indices,
+    shmem_op,
     stream_warps,
     strided_warps,
 )
@@ -304,8 +305,9 @@ class LavaMD(RodiniaWorkload):
         body = [WarpProgram() for _ in range(warps)]
         for index in range(min(ctx.num_sms, warps)):
             body[index].ops.extend(loaders[index].ops)
+        burst = shmem_op(60)
         for warp in body:
-            warp.ops.extend(_shmem_burst(60) for _ in range(60))
+            warp.ops.extend([burst] * 60)
         for index, store_warp in enumerate(stream_warps(
                 forces, particle_bytes, warps, ctx.lanes_per_warp,
                 ctx.line_size, is_store=True, value=3)):
@@ -503,8 +505,3 @@ def _pad_to(programs: List[WarpProgram], warps: int) -> List[WarpProgram]:
     if len(programs) > warps:
         raise ValueError(f"got {len(programs)} programs for {warps} warps")
     return programs + [WarpProgram() for _ in range(warps - len(programs))]
-
-
-def _shmem_burst(cycles: int):
-    from repro.workloads.trace import WarpOp
-    return WarpOp.shmem(cycles)

@@ -22,6 +22,15 @@ carry their *precompiled* coalesced line list — the exact
 first-lane-order output of :meth:`repro.gpu.coalescer.Coalescer.coalesce`
 — computed once at workload build time so the SM's issue path only
 records statistics.
+
+Trace objects are immutable once built, and shared within one build:
+one :class:`WarpOp`, lane row or line list may sit at many positions of
+many warps and kernels of the same phase list (the pattern builders
+share equal pieces, see :mod:`repro.workloads.patterns`).  Nothing that
+consumes a trace mutates an op or keys state on its identity;
+:func:`precompile_op` is the one writer, and it only attaches the line
+list for a line size the op does not have yet.  Separate builds never
+share objects.
 """
 
 from __future__ import annotations
