@@ -11,6 +11,11 @@ States move ``queued → running → done | failed | cancelled``; a
 cache-served job jumps ``queued → done`` without ever running.  Every
 transition is timestamped in ``Job.history`` so clients can stream the
 lifecycle.
+
+A settled job is compact: a done job keeps its ``GET /jobs/<id>/result``
+body as the bytes rendered once when it finished, not the
+:class:`RunResult`, and every settled job's point drops its
+:class:`SystemConfig` (the result cache keeps the durable copy).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from repro.core.config import SystemConfig
 from repro.core.metrics import RunResult
 from repro.core.protocol_mode import CoherenceMode
 from repro.harness.parallel import RunPoint
+from repro.serve.httpd import json_response
 from repro.telemetry import TelemetrySettings
 from repro.telemetry.manifest import run_manifest
 from repro.workloads.suite import benchmark_codes
@@ -158,7 +164,8 @@ class Job:
         self.submissions = 1
         self.cached = False  # served straight from the result cache
         self.error: Optional[str] = None
-        self.result: Optional[RunResult] = None
+        #: the ``GET /jobs/<id>/result`` response body once done
+        self.result_body: Optional[bytes] = None
         self.created = time.time()
         self.history: List[Tuple[str, float]] = [
             (JobState.QUEUED.value, self.created)]
@@ -168,11 +175,17 @@ class Job:
 
     async def advance(self, state: JobState,
                       error: Optional[str] = None) -> None:
-        """Transition and wake every watcher."""
+        """Transition and wake every watcher.
+
+        A terminal transition drops the point's config: the status
+        documents need only its code, input size and mode.
+        """
         async with self._changed:
             self.state = state
             if error is not None:
                 self.error = error
+            if state.terminal:
+                self.point = dataclasses.replace(self.point, config=None)
             self.history.append((state.value, time.time()))
             self._changed.notify_all()
 
@@ -219,17 +232,20 @@ class Job:
             "manifest": self.manifest,
         }
 
-    def result_document(self) -> Dict[str, Any]:
-        """The ``GET /jobs/<id>/result`` document (job must be done)."""
-        if self.state is not JobState.DONE or self.result is None:
-            raise JobError(f"job is {self.state.value}, not done")
-        return {
+    async def finish(self, result: RunResult) -> None:
+        """Render the result body once, then advance to DONE.
+
+        The body is rendered before any watcher wakes, and the job
+        keeps only those bytes, not *result*.
+        """
+        self.result_body = json_response(200, {
             "job_id": self.fingerprint,
-            "state": self.state.value,
+            "state": JobState.DONE.value,
             "cached": self.cached,
-            "result": self.result.to_dict(),
+            "result": result.to_dict(),
             "manifest": self.manifest,
-        }
+        }).content
+        await self.advance(JobState.DONE)
 
     def __repr__(self) -> str:
         return (f"Job({self.fingerprint[:12]}…, "

@@ -222,9 +222,8 @@ class JobScheduler:
             async with self._semaphore:
                 cached = self._cache_get(job.point)
                 if cached is not None:
-                    job.result = cached
                     job.cached = True
-                    await job.advance(JobState.DONE)
+                    await job.finish(cached)
                     self._observe_settled(job, "done", cached=True)
                     return
                 await job.advance(JobState.RUNNING)
@@ -250,9 +249,8 @@ class JobScheduler:
                     await job.advance(JobState.FAILED, error=repr(exc))
                     self._observe_settled(job, "failed", error=repr(exc))
                     return
-                job.result = result
                 self._cache_put(job.point, result)
-                await job.advance(JobState.DONE)
+                await job.finish(result)
                 self._observe_settled(job, "done", cached=False)
         except asyncio.CancelledError:
             if not job.state.terminal:
@@ -261,13 +259,16 @@ class JobScheduler:
             raise
 
     def _settle(self, job: Job, task: asyncio.Task) -> None:
-        """Backstop for a task that died without settling its job.
+        """Drop the finished task, and settle a job its task did not.
 
-        Normal paths settle inside :meth:`_run_job`; this catches a
-        task cancelled before its first step ever ran (the coroutine
-        body never executes, so its cleanup never does either) and any
-        unexpected escape.
+        Normal paths settle inside :meth:`_run_job`; this is the
+        backstop for a task cancelled before its first step ever ran
+        (the coroutine body never executes, so its cleanup never does
+        either) and any unexpected escape.  A retry may already hold
+        the fingerprint's entry in ``_tasks``; that one stays.
         """
+        if self._tasks.get(job.fingerprint) is task:
+            del self._tasks[job.fingerprint]
         if job.state.terminal:
             return
         if task.cancelled():

@@ -245,7 +245,7 @@ class ReproServer:
 
     def _result(self, job) -> Response:
         if job.state is JobState.DONE:
-            return json_response(200, job.result_document())
+            return Response(200, job.result_body)
         if job.state is JobState.QUEUED or job.state is JobState.RUNNING:
             return error_response(
                 409, f"job is {job.state.value}; result not ready")

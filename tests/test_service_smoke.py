@@ -3,7 +3,10 @@
 Six concurrent duplicate submissions must run exactly one simulation
 and leave exactly one cache entry, and the served result must carry its
 provenance.  Dedupe and cache traffic must show on ``/metrics`` and
-``/readyz``, and the structured log must carry the job correlation ids.
+``/readyz``, and the structured log must carry the job correlation ids.  Over an
+in-process server, every path a job can take to its result (simulated,
+joined in flight, completed-dedupe hit, disk hit after a restart) must
+serve the in-process ``RunResult``.
 Run alone with ``python -m pytest -m smoke``.
 """
 
@@ -20,8 +23,12 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro
+from repro.harness.resultcache import ResultCache
+from repro.harness.runner import run_benchmark
 from repro.metrics import names, parse_exposition, sum_samples
 from repro.serve.client import ServeClient
+from repro.serve.jobs import parse_job_payload
+from repro.serve.server import ServerThread
 
 pytestmark = pytest.mark.smoke
 
@@ -29,6 +36,8 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 ANNOUNCE = re.compile(r"listening on http://[^:]+:(\d+)")
 STARTUP_S = 30.0
 SUBMISSIONS = 6
+#: the points the serving-path test runs, each in both modes
+PATH_CODES = ("LV", "HT", "PT")
 
 
 @pytest.fixture
@@ -127,3 +136,49 @@ def test_metrics_readiness_and_job_log(served_port, tmp_path):
             jobs.add(record["job"])
     assert {"job_admitted", "job_done", "job_deduped"} <= events, events
     assert len(jobs) >= 2, jobs
+
+
+def test_every_serving_path_returns_the_in_process_result(tmp_path):
+    payloads = [{"code": code, "mode": mode} for code in PATH_CODES
+                for mode in ("ccsm", "direct_store")]
+    expected = []
+    for payload in payloads:
+        point = parse_job_payload(payload)
+        expected.append(run_benchmark(point.code, point.input_size,
+                                      point.mode, point.config).to_dict())
+    served = {}  # path -> {payload index: served document}
+    cache_dir = tmp_path / "cache"
+
+    def results(client, jobs):
+        client.wait_many([job["job_id"] for job in jobs.values()])
+        return {index: client.result(job["job_id"])
+                for index, job in jobs.items()}
+
+    # one worker: the points simulate one at a time, so the second
+    # batch finds at least the last one still queued
+    with ServerThread(cache=ResultCache(cache_dir), jobs=1,
+                      use_processes=False) as server:
+        client = ServeClient(port=server.port)
+        first = dict(enumerate(client.submit_many(payloads)))
+        again = dict(enumerate(client.submit_many(payloads)))
+        assert [job["submissions"] for job in first.values()] == [1] * 6
+        joins = {index: job for index, job in again.items()
+                 if job["state"] != "done"}
+        assert len(payloads) - 1 in joins, again
+        served["simulated"] = results(client, first)
+        served["joined"] = results(client, joins)
+        repeat = dict(enumerate(client.submit_many(payloads)))
+        assert all(job["state"] == "done" for job in repeat.values())
+        served["completed-dedupe"] = results(client, repeat)
+        assert client.stats()["simulations_run"] == len(payloads)
+    with ServerThread(cache=ResultCache(cache_dir), jobs=1,
+                      use_processes=False) as server:
+        client = ServeClient(port=server.port)
+        disk = dict(enumerate(client.submit_many(payloads)))
+        served["disk"] = results(client, disk)
+        assert client.stats()["simulations_run"] == 0
+
+    for path, documents in served.items():
+        for index, document in documents.items():
+            assert document["result"] == expected[index], (path, index)
+            assert document["cached"] is (path == "disk"), (path, index)
