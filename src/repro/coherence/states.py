@@ -26,20 +26,6 @@ class HammerState(Enum):
     __hash__ = object.__hash__
 
     @property
-    def can_read(self) -> bool:
-        """May a local load hit in this state?"""
-        return self is not HammerState.I
-
-    @property
-    def can_write(self) -> bool:
-        """May a local store complete without a coherence action?
-
-        Only ``MM`` allows stores outright; ``M`` upgrades silently and
-        is handled by the protocol table, not here.
-        """
-        return self is HammerState.MM
-
-    @property
     def is_exclusive(self) -> bool:
         """No other node may hold a valid copy."""
         return self in (HammerState.MM, HammerState.M)
@@ -48,11 +34,6 @@ class HammerState(Enum):
     def is_owner(self) -> bool:
         """This node responds with data to probes."""
         return self in (HammerState.MM, HammerState.M, HammerState.O)
-
-    @property
-    def holds_dirty(self) -> bool:
-        """Eviction must write data back to memory."""
-        return self in (HammerState.MM, HammerState.O)
 
     def __repr__(self) -> str:
         return f"HammerState.{self.name}"

@@ -11,7 +11,7 @@ shift both sides together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.mem.dram import DramConfig
 
@@ -100,10 +100,6 @@ class SystemConfig:
     replacement: str = "lru"
     #: safety net for runaway simulations
     max_events: int = 200_000_000
-
-    def with_overrides(self, **kwargs) -> "SystemConfig":
-        """Return a copy with top-level fields replaced."""
-        return replace(self, **kwargs)
 
     def describe(self) -> str:
         """Human-readable configuration dump (the Table I bench prints it)."""

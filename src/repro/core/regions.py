@@ -40,15 +40,6 @@ class DirectStoreRegionRegistry:
         """Is this physical line part of a GPU-homed buffer?"""
         return (line_address // self.page_size) in self._pfns
 
-    def is_ds_virtual(self, virtual_address: int) -> bool:
-        """Is this virtual address inside a registered window buffer?"""
-        return any(region.contains(virtual_address)
-                   for region in self._regions)
-
-    @property
-    def regions(self) -> List[Region]:
-        return list(self._regions)
-
     @property
     def total_bytes(self) -> int:
         return sum(region.length for region in self._regions)

@@ -80,7 +80,8 @@ class IntegratedSystem:
         # --- interconnect ------------------------------------------------
         self.slice_names = [f"gpu.l2.slice{i}"
                             for i in range(cfg.gpu.l2_slices)]
-        # shift/mask form of slice_for_line for the per-access helpers
+        # consecutive lines interleave across the slices: a line's slice
+        # is its line number modulo the (power-of-two) slice count
         self._line_bits = log2_exact(cfg.line_size)
         if not is_power_of_two(cfg.gpu.l2_slices):
             raise ValueError(
@@ -222,7 +223,7 @@ class IntegratedSystem:
     # ------------------------------------------------------------------
 
     def _slice_for(self, line_address: int) -> str:
-        # inlined slice_for_line: this runs once per memory access
+        # runs once per memory access: one shift and one mask
         return self.slice_names[
             (line_address >> self._line_bits) & self._slice_mask]
 

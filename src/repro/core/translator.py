@@ -100,11 +100,6 @@ class TranslationReport:
     #: kernel arguments for which no malloc/cudaMalloc was found
     unresolved: List[str] = field(default_factory=list)
 
-    def window_layout(self) -> Dict[str, Tuple[int, int]]:
-        """``{variable: (window_address, size_bytes)}``."""
-        return {alloc.name: (alloc.window_address, alloc.size_bytes)
-                for alloc in self.allocations}
-
 
 class SourceTranslator:
     """Translates CUDA-C-like sources to direct-store allocation."""

@@ -29,19 +29,6 @@ class ClockDomain:
             raise ValueError(f"negative cycle count {cycles}")
         return cycles * self.period_ticks
 
-    def ticks_to_cycles(self, ticks: int) -> int:
-        """Whole cycles contained in *ticks* (floor)."""
-        if ticks < 0:
-            raise ValueError(f"negative tick count {ticks}")
-        return ticks // self.period_ticks
-
-    def next_edge(self, tick: int) -> int:
-        """First clock edge at or after *tick* — for clock-domain crossing."""
-        remainder = tick % self.period_ticks
-        if remainder == 0:
-            return tick
-        return tick + self.period_ticks - remainder
-
     def __repr__(self) -> str:
         ghz = self.frequency_hz / 1e9
         return f"ClockDomain({self.name}, {ghz:.2f} GHz)"

@@ -78,9 +78,3 @@ class Coalescer:
             return lines
         self._record(len(lines))
         return lines
-
-    @property
-    def average_fanout(self) -> float:
-        if self._instructions.value == 0:
-            return 0.0
-        return self._transactions.value / self._instructions.value

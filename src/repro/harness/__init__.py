@@ -1,7 +1,7 @@
 """Experiment harness: runners, figure/table reproduction, reporting."""
 
 from repro.harness.reporting import ascii_bar_chart, format_table
-from repro.harness.runner import BenchmarkComparison, compare_modes, run_benchmark
+from repro.harness.runner import BenchmarkComparison, run_benchmark
 from repro.harness.experiments import (
     Fig4Row,
     Fig5Row,
@@ -16,7 +16,7 @@ from repro.harness.parallel import (
     compare_many,
     resolve_jobs,
 )
-from repro.harness.persist import load_results, save_comparisons
+from repro.harness.persist import save_comparisons
 from repro.harness.resultcache import ResultCache, default_cache, run_fingerprint
 from repro.harness.sweep import sweep_config
 
@@ -24,7 +24,6 @@ __all__ = [
     "ascii_bar_chart",
     "format_table",
     "BenchmarkComparison",
-    "compare_modes",
     "run_benchmark",
     "Fig4Row",
     "Fig5Row",
@@ -40,6 +39,5 @@ __all__ = [
     "default_cache",
     "run_fingerprint",
     "sweep_config",
-    "load_results",
     "save_comparisons",
 ]

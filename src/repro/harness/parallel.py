@@ -102,10 +102,40 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def _execute_point(point: RunPoint) -> RunResult:
-    """Run one point; the function workers import and call."""
+def execute_point(point: RunPoint) -> RunResult:
+    """Run one point: what pool workers and the job service call.
+
+    Module-level so process pools can pickle it.  Callers look it up on
+    this module when they dispatch, so one patch of
+    ``repro.harness.parallel.execute_point`` covers every path.
+    """
     return run_benchmark(point.code, point.input_size, point.mode,
                          point.config, telemetry=point.telemetry)
+
+
+def cache_get(cache: Optional[ResultCache],
+              point: RunPoint) -> Optional[RunResult]:
+    """*point*'s cached result, or ``None`` (also when *cache* is None)."""
+    if cache is None:
+        return None
+    config = point.config or SystemConfig(track_values=False)
+    return cache.get(point.code, point.input_size, point.mode, config,
+                     telemetry=point.telemetry)
+
+
+def cache_put(cache: Optional[ResultCache], point: RunPoint,
+              result: RunResult) -> None:
+    """Store *result* for *point*; a failed write loses nothing else."""
+    if cache is None:
+        return
+    config = point.config or SystemConfig(track_values=False)
+    try:
+        cache.put(point.code, point.input_size, point.mode, config,
+                  result, telemetry=point.telemetry)
+    except OSError:
+        # the run finished and keeps its result; the cache counted and
+        # logged the failed write
+        pass
 
 
 class ParallelRunner:
@@ -130,7 +160,7 @@ class ParallelRunner:
         results: List[Optional[RunResult]] = [None] * len(points)
         pending: List[Tuple[int, RunPoint]] = []
         for index, point in enumerate(points):
-            cached = self._cache_get(point)
+            cached = cache_get(self.cache, point)
             if cached is not None:
                 results[index] = cached
                 _METRIC_POINTS.labels(source="cache").inc()
@@ -178,31 +208,12 @@ class ParallelRunner:
 
     # ------------------------------------------------------------------
 
-    def _cache_get(self, point: RunPoint) -> Optional[RunResult]:
-        if self.cache is None:
-            return None
-        config = point.config or SystemConfig(track_values=False)
-        return self.cache.get(point.code, point.input_size, point.mode,
-                              config, telemetry=point.telemetry)
-
-    def _cache_put(self, point: RunPoint, result: RunResult) -> None:
-        if self.cache is None:
-            return
-        config = point.config or SystemConfig(track_values=False)
-        try:
-            self.cache.put(point.code, point.input_size, point.mode,
-                           config, result, telemetry=point.telemetry)
-        except OSError:
-            # the run finished and keeps its result; the cache counted
-            # and logged the failed write
-            pass
-
     def _finish(self, index: int, point: RunPoint, result: RunResult,
                 results: List[Optional[RunResult]],
                 progress: Optional[Callable[[RunPoint], None]],
                 source: str = "serial") -> None:
         results[index] = result
-        self._cache_put(point, result)
+        cache_put(self.cache, point, result)
         _METRIC_POINTS.labels(source=source).inc()
         if progress is not None:
             progress(point)
@@ -212,7 +223,7 @@ class ParallelRunner:
                     progress: Optional[Callable[[RunPoint], None]]) -> None:
         for index, point in pending:
             try:
-                result = _execute_point(point)
+                result = execute_point(point)
             except Exception as exc:
                 raise WorkerError(point, exc) from exc
             self._finish(index, point, result, results, progress)
@@ -234,7 +245,7 @@ class ParallelRunner:
             with executor:
                 for index, point in pending:
                     futures.append((index, point,
-                                    executor.submit(_execute_point, point)))
+                                    executor.submit(execute_point, point)))
                 for index, point, future in futures:
                     try:
                         result = future.result()

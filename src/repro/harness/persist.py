@@ -1,15 +1,15 @@
 """Persisting experiment results as JSON.
 
 The figure benches can dump their data points for external plotting or
-regression tracking; :func:`save_comparisons` / :func:`load_results`
-define the stable on-disk schema.
+regression tracking; :func:`save_comparisons` defines the stable on-disk
+schema, versioned by ``SCHEMA_VERSION``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import Iterable, Union
 
 from repro.harness.runner import BenchmarkComparison
 from repro.telemetry.manifest import run_manifest
@@ -60,13 +60,3 @@ def save_comparisons(path: Union[str, Path], label: str,
     }
     path.write_text(json.dumps(document, indent=2) + "\n")
     return path
-
-
-def load_results(path: Union[str, Path]) -> List[dict]:
-    """Load a result set written by :func:`save_comparisons`."""
-    document = json.loads(Path(path).read_text())
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: schema version "
-            f"{document.get('schema_version')!r} not supported")
-    return document["results"]

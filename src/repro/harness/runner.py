@@ -61,20 +61,3 @@ class BenchmarkComparison:
     @property
     def ds_miss_rate(self) -> float:
         return self.direct_store.gpu_l2_miss_rate
-
-
-def compare_modes(code: str, input_size: str,
-                  config: Optional[SystemConfig] = None,
-                  ds_mode: CoherenceMode = CoherenceMode.DIRECT_STORE,
-                  telemetry: Optional[TelemetrySettings] = None,
-                  ) -> BenchmarkComparison:
-    """Run one benchmark under CCSM and under direct store."""
-    base_config = config or SystemConfig(track_values=False)
-    return BenchmarkComparison(
-        code=code.upper(),
-        input_size=input_size,
-        ccsm=run_benchmark(code, input_size, CoherenceMode.CCSM,
-                           base_config, telemetry=telemetry),
-        direct_store=run_benchmark(code, input_size, ds_mode, base_config,
-                                   telemetry=telemetry),
-    )

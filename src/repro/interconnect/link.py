@@ -102,15 +102,3 @@ class Link:
         registry.counter("queue_delay_ticks").value = \
             self._queue_delay_total
         return registry
-
-    @property
-    def bytes_transferred(self) -> int:
-        return self._byte_count
-
-    @property
-    def messages_sent(self) -> int:
-        return self._message_count
-
-    @property
-    def total_queue_delay_ticks(self) -> int:
-        return self._queue_delay_total

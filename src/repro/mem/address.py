@@ -84,10 +84,3 @@ class AddressLayout:
     def __repr__(self) -> str:
         return (f"AddressLayout(line={self.line_size}B, "
                 f"sets={self.num_sets}, interleave={self.interleave})")
-
-
-def slice_for_line(line_address: int, line_size: int, num_slices: int) -> int:
-    """GPU L2 slice owning *line_address* (consecutive-line interleaving)."""
-    if not is_power_of_two(num_slices):
-        raise ValueError(f"slice count must be a power of two: {num_slices}")
-    return (line_address // line_size) & (num_slices - 1)

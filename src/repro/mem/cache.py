@@ -321,10 +321,6 @@ class SetAssociativeCache:
                                 line))
         return out
 
-    def occupancy(self) -> int:
-        """Number of valid lines."""
-        return sum(1 for _, _line in self.resident_lines())
-
     @property
     def accesses(self) -> int:
         return self._accesses.value

@@ -168,17 +168,3 @@ class DramModel:
             TRACER.instant("dram", "posted_write", now_tick,
                            track=self.name, args={"line": address})
         return retire
-
-    def reset_banks(self) -> None:
-        """Close all rows and clear queueing state (between experiments)."""
-        for bank in range(len(self._bank_open_row)):
-            self._bank_open_row[bank] = -1
-            self._bank_ready[bank] = 0
-
-    @property
-    def row_hit_rate(self) -> float:
-        total = (self._row_hits.value + self._row_misses.value
-                 + self._row_empty.value)
-        if total == 0:
-            return 0.0
-        return self._row_hits.value / total

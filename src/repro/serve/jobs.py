@@ -189,11 +189,6 @@ class Job:
             self.history.append((state.value, time.time()))
             self._changed.notify_all()
 
-    async def wait_terminal(self) -> "Job":
-        async with self._changed:
-            await self._changed.wait_for(lambda: self.state.terminal)
-        return self
-
     async def stream_states(self) -> AsyncIterator[Dict[str, Any]]:
         """Yield one status document per recorded transition, live.
 

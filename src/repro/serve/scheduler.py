@@ -11,7 +11,11 @@ the job id *is* the run fingerprint, dedupe is a dictionary lookup:
 
 Worker-slot concurrency is bounded by the same
 :func:`~repro.harness.parallel.resolve_jobs` policy as the batch
-harness (``REPRO_JOBS`` / cpu count).  Simulations run in a
+harness (``REPRO_JOBS`` / cpu count), and a job takes the harness's
+run-point path: :func:`~repro.harness.parallel.execute_point` runs it
+and :func:`~repro.harness.parallel.cache_get` /
+:func:`~repro.harness.parallel.cache_put` read and write the result
+cache.  Simulations run in a
 ``ProcessPoolExecutor`` off the event loop; where process pools are
 unavailable (sandboxes that forbid forking) the scheduler degrades to
 a thread pool — simulations are pure Python so this serializes on the
@@ -29,9 +33,14 @@ from typing import Any, Dict, Optional
 from repro import obslog
 from repro.core.config import SystemConfig
 from repro.core.metrics import RunResult
-from repro.harness.parallel import RunPoint, resolve_jobs
+from repro.harness import parallel
+from repro.harness.parallel import (
+    RunPoint,
+    cache_get,
+    cache_put,
+    resolve_jobs,
+)
 from repro.harness.resultcache import ResultCache, run_fingerprint
-from repro.harness.runner import run_benchmark
 from repro.metrics import REGISTRY
 from repro.metrics import names as metric_names
 from repro.serve.jobs import Job, JobState, parse_job_payload
@@ -59,12 +68,6 @@ _METRIC_WALL_SECONDS = metric_names.declare(REGISTRY,
                                             metric_names.JOB_WALL_SECONDS)
 _METRIC_UPTIME = metric_names.declare(REGISTRY,
                                       metric_names.UPTIME_SECONDS)
-
-
-def execute_point(point: RunPoint) -> RunResult:
-    """Run one point in a worker (module-level so pools can pickle it)."""
-    return run_benchmark(point.code, point.input_size, point.mode,
-                         point.config, telemetry=point.telemetry)
 
 
 class JobScheduler:
@@ -193,15 +196,18 @@ class JobScheduler:
 
     async def _execute(self, point: RunPoint) -> RunResult:
         loop = asyncio.get_running_loop()
+        # looked up per job, so a patch of the harness's function (tests)
+        # reaches the service too
+        execute = parallel.execute_point
         try:
             return await loop.run_in_executor(self._get_executor(),
-                                              execute_point, point)
+                                              execute, point)
         except BrokenExecutor:
             # the pool died under us (fork refused at first use, a
             # worker killed); degrade to threads and retry once
             self._degrade_to_threads()
             return await loop.run_in_executor(self._executor,
-                                              execute_point, point)
+                                              execute, point)
 
     def _observe_settled(self, job: Job, state_label: str,
                          **fields: Any) -> None:
@@ -220,7 +226,7 @@ class JobScheduler:
     async def _run_job(self, job: Job) -> None:
         try:
             async with self._semaphore:
-                cached = self._cache_get(job.point)
+                cached = cache_get(self.cache, job.point)
                 if cached is not None:
                     job.cached = True
                     await job.finish(cached)
@@ -249,7 +255,7 @@ class JobScheduler:
                     await job.advance(JobState.FAILED, error=repr(exc))
                     self._observe_settled(job, "failed", error=repr(exc))
                     return
-                self._cache_put(job.point, result)
+                cache_put(self.cache, job.point, result)
                 await job.finish(result)
                 self._observe_settled(job, "done", cached=False)
         except asyncio.CancelledError:
@@ -283,32 +289,18 @@ class JobScheduler:
             job.advance(state, error=error))
         self._settlers.append(settle)
 
-    def _cache_get(self, point: RunPoint) -> Optional[RunResult]:
-        if self.cache is None:
-            return None
-        config = point.config or SystemConfig(track_values=False)
-        return self.cache.get(point.code, point.input_size, point.mode,
-                              config, telemetry=point.telemetry)
-
-    def _cache_put(self, point: RunPoint, result: RunResult) -> None:
-        if self.cache is None:
-            return
-        config = point.config or SystemConfig(track_values=False)
-        try:
-            self.cache.put(point.code, point.input_size, point.mode,
-                           config, result, telemetry=point.telemetry)
-        except OSError:
-            # the run finished and keeps its result; the cache counted
-            # and logged the failed write
-            pass
-
     # -- reporting / shutdown ------------------------------------------
 
-    def stats(self) -> Dict[str, Any]:
-        """The ``GET /stats`` document."""
+    def _state_counts(self) -> Dict[str, int]:
+        """Jobs per state, every :class:`JobState` present."""
         states = {state.value: 0 for state in JobState}
         for job in self.jobs.values():
             states[job.state.value] += 1
+        return states
+
+    def stats(self) -> Dict[str, Any]:
+        """The ``GET /stats`` document."""
+        states = self._state_counts()
         cache: Dict[str, Any] = {"enabled": self.cache is not None}
         if self.cache is not None:
             cache.update(hits=self.cache.hits, misses=self.cache.misses,
@@ -356,9 +348,7 @@ class JobScheduler:
         is read rather than racing other scheduler instances for
         ownership of the shared registry.
         """
-        states = {state.value: 0 for state in JobState}
-        for job in self.jobs.values():
-            states[job.state.value] += 1
+        states = self._state_counts()
         for state, count in states.items():
             _METRIC_JOBS_BY_STATE.labels(state=state).set(count)
         _METRIC_QUEUE_DEPTH.set(states[JobState.QUEUED.value])

@@ -1,9 +1,7 @@
 """Shared utilities: bit manipulation, statistics, and math helpers."""
 
 from repro.utils.bitops import (
-    align_down,
     align_up,
-    bit_slice,
     is_power_of_two,
     log2_exact,
     mask,
@@ -11,21 +9,17 @@ from repro.utils.bitops import (
 from repro.utils.statistics import (
     Counter,
     Histogram,
-    RatioStat,
     StatsRegistry,
     geometric_mean,
 )
 
 __all__ = [
-    "align_down",
     "align_up",
-    "bit_slice",
     "is_power_of_two",
     "log2_exact",
     "mask",
     "Counter",
     "Histogram",
-    "RatioStat",
     "StatsRegistry",
     "geometric_mean",
 ]

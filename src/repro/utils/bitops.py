@@ -33,18 +33,6 @@ def mask(num_bits: int) -> int:
     return (1 << num_bits) - 1
 
 
-def bit_slice(value: int, low: int, num_bits: int) -> int:
-    """Extract *num_bits* bits of *value* starting at bit *low*."""
-    return (value >> low) & mask(num_bits)
-
-
-def align_down(value: int, alignment: int) -> int:
-    """Round *value* down to a multiple of *alignment* (a power of two)."""
-    if not is_power_of_two(alignment):
-        raise ValueError(f"alignment must be a power of two, got {alignment}")
-    return value & ~(alignment - 1)
-
-
 def align_up(value: int, alignment: int) -> int:
     """Round *value* up to a multiple of *alignment* (a power of two)."""
     if not is_power_of_two(alignment):

@@ -1,8 +1,8 @@
 """Lightweight statistics primitives for simulator instrumentation.
 
-The design mirrors gem5's stats framework in miniature: named counters,
-ratio statistics (miss rates), and histograms, grouped under a registry so
-an experiment can dump every statistic a component recorded.
+The design mirrors gem5's stats framework in miniature: named counters
+and histograms, grouped under a registry so an experiment can dump every
+statistic a component recorded.
 """
 
 from __future__ import annotations
@@ -31,36 +31,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self.name}={self.value})"
-
-
-class RatioStat:
-    """A numerator/denominator pair, e.g. misses over accesses."""
-
-    def __init__(self, name: str, description: str = "") -> None:
-        self.name = name
-        self.description = description
-        self.numerator = 0
-        self.denominator = 0
-
-    def record(self, hit_numerator: bool) -> None:
-        """Record one denominator event; count it in the numerator if asked."""
-        self.denominator += 1
-        if hit_numerator:
-            self.numerator += 1
-
-    @property
-    def ratio(self) -> float:
-        """Return numerator/denominator, or 0.0 when nothing was recorded."""
-        if self.denominator == 0:
-            return 0.0
-        return self.numerator / self.denominator
-
-    def reset(self) -> None:
-        self.numerator = 0
-        self.denominator = 0
-
-    def __repr__(self) -> str:
-        return f"RatioStat({self.name}={self.numerator}/{self.denominator})"
 
 
 class Histogram:
@@ -117,13 +87,11 @@ class StatsRegistry:
 
         stats = StatsRegistry("gpu.l2")
         misses = stats.counter("misses", "demand misses")
-        miss_rate = stats.ratio("miss_rate", "demand miss rate")
     """
 
     def __init__(self, owner: str) -> None:
         self.owner = owner
         self._counters: Dict[str, Counter] = {}
-        self._ratios: Dict[str, RatioStat] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str, description: str = "") -> Counter:
@@ -131,12 +99,6 @@ class StatsRegistry:
         if name not in self._counters:
             self._counters[name] = Counter(f"{self.owner}.{name}", description)
         return self._counters[name]
-
-    def ratio(self, name: str, description: str = "") -> RatioStat:
-        """Create (or fetch) the ratio statistic called *name*."""
-        if name not in self._ratios:
-            self._ratios[name] = RatioStat(f"{self.owner}.{name}", description)
-        return self._ratios[name]
 
     def histogram(self, name: str, bucket_bounds: Iterable[int],
                   description: str = "") -> Histogram:
@@ -150,8 +112,6 @@ class StatsRegistry:
         """Zero every statistic in the registry."""
         for counter in self._counters.values():
             counter.reset()
-        for ratio in self._ratios.values():
-            ratio.reset()
         # in place, like the counters: components hold their histograms
         for hist in self._histograms.values():
             hist.reset()
@@ -161,10 +121,6 @@ class StatsRegistry:
         snapshot: Dict[str, float] = {}
         for counter in self._counters.values():
             snapshot[counter.name] = float(counter.value)
-        for ratio in self._ratios.values():
-            snapshot[ratio.name] = ratio.ratio
-            snapshot[f"{ratio.name}.numerator"] = float(ratio.numerator)
-            snapshot[f"{ratio.name}.denominator"] = float(ratio.denominator)
         for hist in self._histograms.values():
             snapshot[f"{hist.name}.mean"] = hist.mean
             snapshot[f"{hist.name}.samples"] = float(hist.total_samples)

@@ -15,7 +15,7 @@ variable's size (§III-C), and we enforce it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.utils.bitops import align_up
 from repro.vm.pagetable import PAGE_SIZE
@@ -53,9 +53,6 @@ class Region:
         """One past the last mapped byte."""
         return self.start + self.length
 
-    def contains(self, virtual_address: int) -> bool:
-        return self.start <= virtual_address < self.end
-
     def overlaps(self, other: "Region") -> bool:
         return self.start < other.end and other.start < self.end
 
@@ -70,7 +67,6 @@ class MmapAllocator:
 
     def __init__(self) -> None:
         self._regions: List[Region] = []
-        self._by_name: Dict[str, Region] = {}
         self._heap_cursor = HEAP_BASE
         self._window_cursor = DIRECT_STORE_WINDOW_BASE
 
@@ -129,23 +125,6 @@ class MmapAllocator:
         return (DIRECT_STORE_WINDOW_BASE <= virtual_address
                 < DIRECT_STORE_WINDOW_BASE + DIRECT_STORE_WINDOW_SIZE)
 
-    def region_at(self, virtual_address: int) -> Optional[Region]:
-        """Region containing *virtual_address*, or ``None``."""
-        for region in self._regions:
-            if region.contains(virtual_address):
-                return region
-        return None
-
-    def region_named(self, name: str) -> Optional[Region]:
-        return self._by_name.get(name)
-
-    @property
-    def regions(self) -> List[Region]:
-        return list(self._regions)
-
-    def direct_store_regions(self) -> List[Region]:
-        return [r for r in self._regions if r.direct_store]
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -169,6 +148,4 @@ class MmapAllocator:
                     f" overlaps {existing.name!r} at "
                     f"[{existing.start:#x}, {existing.end:#x})")
         self._regions.append(region)
-        if name:
-            self._by_name[name] = region
         return region

@@ -95,8 +95,5 @@ class PageTable:
         offset = virtual_address & (self.page_size - 1)
         return (pfn << self._shift) | offset
 
-    def is_mapped(self, virtual_address: int) -> bool:
-        return (virtual_address >> self._shift) in self._map
-
     def __len__(self) -> int:
         return len(self._map)

@@ -157,13 +157,6 @@ class TLB:
         return (self.window_base <= virtual_address
                 < self.window_base + self.window_size)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self._hits.value + self._misses.value
-        if total == 0:
-            return 0.0
-        return self._hits.value / total
-
     def __len__(self) -> int:
         return len(self._entries)
 

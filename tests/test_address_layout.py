@@ -1,10 +1,27 @@
 """Unit + property tests for address decomposition and slice mapping."""
 
+import functools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mem.address import AddressLayout, slice_for_line
+from repro.core.config import GpuConfig, SystemConfig
+from repro.core.protocol_mode import CoherenceMode
+from repro.core.system import IntegratedSystem
+from repro.mem.address import AddressLayout
+
+
+@functools.lru_cache(maxsize=None)
+def _system(slices):
+    config = SystemConfig(gpu=GpuConfig(l2_slices=slices))
+    return IntegratedSystem(config, CoherenceMode.CCSM)
+
+
+def slice_for_line(line_address, slices):
+    """Index of the GPU L2 slice the system routes *line_address* to."""
+    system = _system(slices)
+    return system.slice_names.index(system._slice_for(line_address))
 
 
 class TestAddressLayout:
@@ -85,18 +102,17 @@ class TestInterleavedLayout:
 
 class TestSliceForLine:
     def test_consecutive_lines_rotate(self):
-        slices = [slice_for_line(line * 128, 128, 4) for line in range(8)]
+        slices = [slice_for_line(line * 128, 4) for line in range(8)]
         assert slices == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_single_slice(self):
-        assert slice_for_line(0x12345 * 128, 128, 1) == 0
+        assert slice_for_line(0x12345 * 128, 1) == 0
 
     def test_non_power_slices_rejected(self):
         with pytest.raises(ValueError):
-            slice_for_line(0, 128, 3)
+            _system(3)
 
     @given(st.integers(min_value=0, max_value=2 ** 40))
     def test_offset_within_line_is_irrelevant(self, address):
         line = address & ~127
-        assert (slice_for_line(line, 128, 4)
-                == slice_for_line(line + 127, 128, 4))
+        assert slice_for_line(line, 4) == slice_for_line(line + 127, 4)

@@ -5,9 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.bitops import (
-    align_down,
     align_up,
-    bit_slice,
     is_power_of_two,
     log2_exact,
     mask,
@@ -59,26 +57,7 @@ class TestMask:
             mask(-1)
 
 
-class TestBitSlice:
-    def test_low_bits(self):
-        assert bit_slice(0b1101_0110, 0, 4) == 0b0110
-
-    def test_middle_bits(self):
-        assert bit_slice(0b1101_0110, 4, 4) == 0b1101
-
-    @given(st.integers(min_value=0, max_value=2 ** 48 - 1),
-           st.integers(min_value=0, max_value=20),
-           st.integers(min_value=1, max_value=20))
-    def test_matches_arithmetic(self, value, low, width):
-        assert bit_slice(value, low, width) == (value >> low) % (1 << width)
-
-
 class TestAlignment:
-    def test_align_down(self):
-        assert align_down(1000, 128) == 896
-        assert align_down(128, 128) == 128
-        assert align_down(127, 128) == 0
-
     def test_align_up(self):
         assert align_up(1000, 128) == 1024
         assert align_up(128, 128) == 128
@@ -86,7 +65,7 @@ class TestAlignment:
 
     def test_non_power_alignment_rejected(self):
         with pytest.raises(ValueError):
-            align_down(100, 3)
+            align_up(100, 3)
         with pytest.raises(ValueError):
             align_up(100, 100)
 
@@ -94,9 +73,6 @@ class TestAlignment:
            st.integers(min_value=0, max_value=16))
     def test_bounds(self, value, exponent):
         alignment = 1 << exponent
-        down = align_down(value, alignment)
         up = align_up(value, alignment)
-        assert down <= value <= up
-        assert down % alignment == 0
+        assert value <= up < value + alignment
         assert up % alignment == 0
-        assert up - down in (0, alignment)

@@ -126,7 +126,7 @@ class TestInvalidate:
         for index in range(10):
             cache.fill(index * 128, "V", 0)
         assert cache.flash_invalidate() == 10
-        assert cache.occupancy() == 0
+        assert cache.resident_lines() == []
 
     def test_invalidated_way_reused_first(self):
         cache = make_cache(size=512, ways=2, line=128)
@@ -175,7 +175,7 @@ def test_property_occupancy_never_exceeds_capacity(line_numbers):
         address = number * 128
         if cache.lookup(address) is None:
             cache.fill(address, "V", 0)
-    assert cache.occupancy() <= 16
+    assert len(cache.resident_lines()) <= 16
     assert cache.accesses == len(line_numbers)
     assert cache.hits + cache.misses == cache.accesses
 

@@ -74,16 +74,6 @@ class TestClockDomain:
         clock = ClockDomain("mem", 1e9)
         assert clock.cycles_to_ticks(14) == 14_000
 
-    def test_ticks_to_cycles_floor(self):
-        clock = ClockDomain("mem", 1e9)
-        assert clock.ticks_to_cycles(1999) == 1
-
-    def test_next_edge(self):
-        clock = ClockDomain("mem", 1e9)
-        assert clock.next_edge(0) == 0
-        assert clock.next_edge(1) == 1000
-        assert clock.next_edge(1000) == 1000
-
     def test_gpu_clock_period(self):
         clock = ClockDomain("gpu", 1.4e9)
         assert clock.period_ticks == round(TICKS_PER_SECOND / 1.4e9)

@@ -67,14 +67,6 @@ class TestTrailingState:
         assert result.total_ticks > 0
         system.check_invariants()
 
-    def test_dram_reset_between_experiments(self, tiny_config):
-        system = IntegratedSystem(tiny_config, CoherenceMode.CCSM)
-        system.dram.access(0, 0)
-        system.dram.reset_banks()
-        # the bank state is clean; rows closed
-        assert all(row == -1 for row in system.dram._bank_open_row)
-        assert all(tick == 0 for tick in system.dram._bank_ready)
-
 
 class TestConfigValidation:
     def test_indivisible_gpu_l2_rejected(self, tiny_config):

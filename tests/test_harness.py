@@ -1,5 +1,7 @@
 """Tests for the experiment harness (runner, experiments, reporting)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import SystemConfig
@@ -12,13 +14,14 @@ from repro.harness.experiments import (
     geomean_miss_rates,
     geomean_nonzero_speedup,
 )
+from repro.harness.parallel import compare_many
 from repro.harness.reporting import ascii_bar_chart, format_table
-from repro.harness.runner import compare_modes, run_benchmark
+from repro.harness.runner import run_benchmark
 from repro.harness.sweep import expand_grid, sweep_config
 
 
 def small_config(tiny_config):
-    return tiny_config.with_overrides(track_values=False)
+    return dataclasses.replace(tiny_config, track_values=False)
 
 
 class TestRunner:
@@ -30,8 +33,8 @@ class TestRunner:
         assert result.mode == "ccsm"
 
     def test_compare_modes(self, tiny_config):
-        comparison = compare_modes("VA", "small",
-                                   small_config(tiny_config))
+        [comparison] = compare_many(["VA"], "small",
+                                    small_config(tiny_config), jobs=1)
         assert comparison.code == "VA"
         assert comparison.speedup > 0
         assert comparison.speedup_percent == pytest.approx(

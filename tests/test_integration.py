@@ -1,5 +1,7 @@
 """Integration tests: the whole system, end to end, under every mode."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.protocol_mode import CoherenceMode
@@ -155,13 +157,13 @@ class TestModeContrasts:
                 return [CpuPhase("p", [CpuOp.store(self.small, 1),
                                        CpuOp.store(self.large, 2)])]
 
-        config = tiny_config.with_overrides(
-            hybrid_threshold_bytes=64 * 1024)
+        config = dataclasses.replace(tiny_config,
+                                     hybrid_threshold_bytes=64 * 1024)
         system = IntegratedSystem(config, CoherenceMode.HYBRID)
         workload = TwoBuffers("small")
         system.run(workload)
-        assert not system.allocator.region_named("small_buf").direct_store
-        assert system.allocator.region_named("large_buf").direct_store
+        assert not system.allocator.in_direct_store_window(workload.small)
+        assert system.allocator.in_direct_store_window(workload.large)
 
     def test_forwarded_store_count_matches_produce(self, tiny_config):
         system = IntegratedSystem(tiny_config, CoherenceMode.DIRECT_STORE)

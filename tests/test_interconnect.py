@@ -62,8 +62,8 @@ class TestLink:
         link = Link("l", mem_clock(), latency_cycles=1)
         link.send(100, 0)
         link.send(50, 0)
-        assert link.messages_sent == 2
-        assert link.bytes_transferred == 150
+        assert link.stats.counter("messages").value == 2
+        assert link.stats.counter("bytes").value == 150
 
     def test_reset_clears_bookings(self):
         link = Link("l", mem_clock(), latency_cycles=0, bytes_per_cycle=64)
@@ -177,7 +177,7 @@ class TestLinkBookkeeping:
         link = Link("l", mem_clock(), latency_cycles=0, bytes_per_cycle=64)
         link.send(64, 0)
         link.send(64, 10 ** 9)  # far apart: no queueing
-        assert link.total_queue_delay_ticks == 0
+        assert link.stats.counter("queue_delay_ticks").value == 0
         for _ in range(100):
             link.send(1024, 10 ** 9)  # pile-up: queueing appears
-        assert link.total_queue_delay_ticks > 0
+        assert link.stats.counter("queue_delay_ticks").value > 0

@@ -31,7 +31,7 @@ class TestInstruments:
         gauge = MetricsRegistry().gauge("g")
         gauge.set(10)
         gauge.inc(5)
-        gauge.dec(2)
+        gauge.inc(-2)
         assert gauge.value == 13
 
     def test_concurrent_increments_are_exact(self):

@@ -1,5 +1,7 @@
 """Tests for the parallel fan-out runner."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.protocol_mode import CoherenceMode
@@ -10,7 +12,7 @@ from repro.harness.parallel import (
     compare_many,
     resolve_jobs,
 )
-from repro.harness.runner import compare_modes, run_benchmark
+from repro.harness.runner import run_benchmark
 
 
 @pytest.fixture
@@ -22,7 +24,7 @@ def multi_core(monkeypatch):
 
 
 def _points(tiny_config, codes=("VA", "PT"), modes=None):
-    config = tiny_config.with_overrides(track_values=False)
+    config = dataclasses.replace(tiny_config, track_values=False)
     modes = modes or (CoherenceMode.CCSM, CoherenceMode.DIRECT_STORE)
     return [RunPoint(code, "small", mode, config)
             for code in codes for mode in modes]
@@ -111,7 +113,7 @@ class TestParallelRunner:
             for r in ParallelRunner(jobs=1).run_points(points)]
 
     def test_worker_crash_surfaces_point(self, tiny_config):
-        config = tiny_config.with_overrides(track_values=False)
+        config = dataclasses.replace(tiny_config, track_values=False)
         points = [RunPoint("NOPE", "small", CoherenceMode.CCSM, config)]
         with pytest.raises(WorkerError) as excinfo:
             ParallelRunner(jobs=1).run_points(points)
@@ -133,14 +135,14 @@ class TestPoolDegradedPaths:
         """Count executions per point through the real execute path."""
         from repro.harness import parallel as parallel_module
         counts = {}
-        real = parallel_module._execute_point
+        real = parallel_module.execute_point
 
         def counting(point):
             key = (point.code, point.mode.value)
             counts[key] = counts.get(key, 0) + 1
             return real(point)
 
-        monkeypatch.setattr(parallel_module, "_execute_point", counting)
+        monkeypatch.setattr(parallel_module, "execute_point", counting)
         return counts
 
     def test_pool_creation_failure_runs_each_point_once(
@@ -258,22 +260,25 @@ class TestPoolDegradedPaths:
 
 class TestCompareMany:
     def test_matches_compare_modes(self, tiny_config):
-        config = tiny_config.with_overrides(track_values=False)
+        config = dataclasses.replace(tiny_config, track_values=False)
         [batch] = compare_many(["VA"], "small", config=config, jobs=1)
-        single = compare_modes("VA", "small", config)
-        assert batch.code == single.code
-        assert batch.ccsm.total_ticks == single.ccsm.total_ticks
-        assert (batch.direct_store.total_ticks
-                == single.direct_store.total_ticks)
+        ccsm = run_benchmark("VA", "small", CoherenceMode.CCSM, config)
+        ds = run_benchmark("VA", "small", CoherenceMode.DIRECT_STORE,
+                           config)
+        assert batch.code == "VA"
+        assert batch.ccsm.total_ticks == ccsm.total_ticks
+        assert batch.ccsm.stats == ccsm.stats
+        assert batch.direct_store.total_ticks == ds.total_ticks
+        assert batch.direct_store.stats == ds.stats
 
     def test_order_and_codes(self, tiny_config):
-        config = tiny_config.with_overrides(track_values=False)
+        config = dataclasses.replace(tiny_config, track_values=False)
         comparisons = compare_many(["pt", "VA"], "small", config=config,
                                    jobs=1)
         assert [c.code for c in comparisons] == ["PT", "VA"]
 
     def test_progress_once_per_code(self, tiny_config):
-        config = tiny_config.with_overrides(track_values=False)
+        config = dataclasses.replace(tiny_config, track_values=False)
         seen = []
         compare_many(["VA", "PT"], "small", config=config, jobs=1,
                      progress=seen.append)
@@ -283,7 +288,7 @@ class TestCompareMany:
 class TestCacheIntegration:
     def test_cache_round_trip_through_runner(self, tiny_config, tmp_path):
         from repro.harness.resultcache import ResultCache
-        config = tiny_config.with_overrides(track_values=False)
+        config = dataclasses.replace(tiny_config, track_values=False)
         points = [RunPoint("VA", "small", CoherenceMode.CCSM, config)]
         cache = ResultCache(tmp_path)
         first = ParallelRunner(jobs=1, cache=cache).run_points(points)
@@ -306,7 +311,7 @@ class TestCacheIntegration:
     @staticmethod
     def _check_failed_cache_write(tiny_config, tmp_path):
         from repro.harness.resultcache import ResultCache
-        config = tiny_config.with_overrides(track_values=False)
+        config = dataclasses.replace(tiny_config, track_values=False)
         point = RunPoint("VA", "small", CoherenceMode.CCSM, config)
         [result] = ParallelRunner(
             jobs=1, cache=ResultCache(tmp_path)).run_points([point])
@@ -316,7 +321,7 @@ class TestCacheIntegration:
 
     def test_cached_result_matches_fresh_run(self, tiny_config, tmp_path):
         from repro.harness.resultcache import ResultCache
-        config = tiny_config.with_overrides(track_values=False)
+        config = dataclasses.replace(tiny_config, track_values=False)
         point = RunPoint("VA", "small", CoherenceMode.DIRECT_STORE, config)
         cache = ResultCache(tmp_path)
         ParallelRunner(jobs=1, cache=cache).run_points([point])

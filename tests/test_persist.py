@@ -6,11 +6,11 @@ import pytest
 
 from repro.core.protocol_mode import CoherenceMode
 from repro.harness.persist import (
+    SCHEMA_VERSION,
     comparison_to_dict,
-    load_results,
     save_comparisons,
 )
-from repro.harness.runner import compare_modes
+from repro.harness.parallel import compare_many
 
 
 @pytest.fixture(scope="module")
@@ -26,14 +26,15 @@ def comparison(request):
         gpu=GpuConfig(num_sms=4, l2_size=64 * 1024, l2_slices=2),
         dram=DramConfig(size_bytes=64 * 1024 * 1024),
         track_values=False)
-    return compare_modes("PT", "small", config)
+    [comparison] = compare_many(["PT"], "small", config, jobs=1)
+    return comparison
 
 
 class TestSerialisation:
     def test_roundtrip(self, tmp_path, comparison):
         path = save_comparisons(tmp_path / "out" / "fig4.json",
                                 "fig4-small", [comparison])
-        loaded = load_results(path)
+        loaded = json.loads(path.read_text())["results"]
         assert len(loaded) == 1
         assert loaded[0]["code"] == "PT"
         assert loaded[0]["speedup"] == pytest.approx(comparison.speedup)
@@ -52,8 +53,7 @@ class TestSerialisation:
         document = json.loads(path.read_text())
         assert document["label"] == "my-label"
 
-    def test_schema_version_checked(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema_version": 99, "results": []}))
-        with pytest.raises(ValueError):
-            load_results(bad)
+    def test_schema_version_checked(self, tmp_path, comparison):
+        path = save_comparisons(tmp_path / "r.json", "v", [comparison])
+        document = json.loads(path.read_text())
+        assert document["schema_version"] == SCHEMA_VERSION

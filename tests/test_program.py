@@ -36,19 +36,20 @@ class TestTranslatedWorkload:
         system = IntegratedSystem(tiny_config, CoherenceMode.DIRECT_STORE)
         workload = TranslatedWorkload(report, phases)
         system.run(workload)
-        layout = report.window_layout()
-        for name, (address, _size) in layout.items():
-            assert workload.buffers[name] == address
-            region = system.allocator.region_at(address)
-            assert region is not None and region.direct_store
+        for alloc in report.allocations:
+            address = alloc.window_address
+            assert workload.buffers[alloc.name] == address
+            assert system.dsu.is_ds_physical_line(
+                system.page_table.translate(address))
 
     def test_ccsm_buffers_on_heap(self, tiny_config, report):
         system = IntegratedSystem(tiny_config, CoherenceMode.CCSM)
         workload = TranslatedWorkload(report, phases)
         system.run(workload)
-        for name, base in workload.buffers.items():
-            region = system.allocator.region_at(base)
-            assert region is not None and not region.direct_store
+        for base in workload.buffers.values():
+            assert not system.allocator.in_direct_store_window(base)
+            assert not system.dsu.is_ds_physical_line(
+                system.page_table.translate_or_map(base))
 
     def test_ds_run_forwards_stores(self, tiny_config, report):
         system = IntegratedSystem(tiny_config, CoherenceMode.DIRECT_STORE)

@@ -31,17 +31,26 @@ class TestStateProperties:
         assert exclusive == {HammerState.MM, HammerState.M}
 
     def test_only_mm_writable(self):
-        writable = {s for s in STABLE if s.can_write}
+        # a store completes with no message and no state change only in MM
+        writable = {s for s in STABLE
+                    if PROTOCOL_TABLE[(s, ProtocolEvent.STORE)]
+                    == (s, Action.NONE)}
         assert writable == {HammerState.MM}
 
     def test_dirty_states(self):
-        dirty = {s for s in STABLE if s.holds_dirty}
+        dirty = {s for s in STABLE
+                 if PROTOCOL_TABLE.get((s, ProtocolEvent.REPLACEMENT),
+                                       (None, None))[1]
+                 is Action.WRITEBACK_DATA}
         assert dirty == {HammerState.MM, HammerState.O}
 
     def test_readable(self):
-        readable = {s for s in STABLE if s.can_read}
-        assert HammerState.I not in readable
-        assert len(readable) == 4
+        # a load hits (no fetch, no state change) in every valid state
+        readable = {s for s in STABLE
+                    if PROTOCOL_TABLE[(s, ProtocolEvent.LOAD)]
+                    == (s, Action.NONE)}
+        assert readable == {HammerState.MM, HammerState.M, HammerState.O,
+                            HammerState.S}
 
 
 class TestTableCoverage:

@@ -1,5 +1,6 @@
 """Tests for the persistent result cache."""
 
+import dataclasses
 import json
 import os
 
@@ -38,7 +39,7 @@ class TestRoundTrip:
     def test_real_run_round_trips(self, tiny_config):
         result = run_benchmark(
             "VA", "small", CoherenceMode.CCSM,
-            tiny_config.with_overrides(track_values=False))
+            dataclasses.replace(tiny_config, track_values=False))
         assert RunResult.from_dict(result.to_dict()) == result
 
 
@@ -64,7 +65,7 @@ class TestFingerprint:
     def test_config_change_changes_fingerprint(self, tiny_config):
         base = run_fingerprint("VA", "small", CoherenceMode.CCSM,
                                tiny_config)
-        tweaked = tiny_config.with_overrides(line_size=256)
+        tweaked = dataclasses.replace(tiny_config, line_size=256)
         assert run_fingerprint("VA", "small", CoherenceMode.CCSM,
                                tweaked) != base
 
@@ -94,7 +95,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         cache.put("VA", "small", CoherenceMode.CCSM, tiny_config,
                   _result())
-        other = tiny_config.with_overrides(line_size=256)
+        other = dataclasses.replace(tiny_config, line_size=256)
         assert cache.get("VA", "small", CoherenceMode.CCSM, other) is None
 
     def test_schema_version_bump_invalidates(self, tiny_config, tmp_path,

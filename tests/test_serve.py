@@ -91,21 +91,32 @@ class TestPayloadValidation:
         asyncio.run(main())
 
 
+async def _settled(job):
+    """Drain *job*'s live state stream (what ``?watch=1`` serves)."""
+    async for _document in job.stream_states():
+        pass
+
+
 def _fake_executor(monkeypatch, delay_s=0.0, error=None):
-    """Replace the pool-side entry point with a counting stand-in."""
-    import repro.serve.scheduler as scheduler_module
+    """Replace the run-point function with a counting stand-in."""
+    import repro.harness.parallel as parallel_module
     calls = []
 
     def fake_execute(point):
         calls.append((point.code, point.mode.value))
         if delay_s:
             time.sleep(delay_s)
+            if parallel_module.execute_point is not fake_execute:
+                # the test that started this run is over (a timed-out
+                # or cancelled job's thread outlives it): do not load
+                # the process with a simulation the next test would see
+                raise RuntimeError("run outlived its test")
         if error is not None:
             raise error
         return run_benchmark("VA", "small", CoherenceMode.DIRECT_STORE,
                              point.config)
 
-    monkeypatch.setattr(scheduler_module, "execute_point", fake_execute)
+    monkeypatch.setattr(parallel_module, "execute_point", fake_execute)
     return calls
 
 
@@ -123,7 +134,7 @@ class TestScheduler:
             second = scheduler.submit_payload(payload)
             assert second is first
             assert scheduler.inflight_dedup_hits == 1
-            await first.wait_terminal()
+            await _settled(first)
             assert first.state is JobState.DONE
             assert first.submissions == 2
             await scheduler.shutdown()
@@ -138,7 +149,7 @@ class TestScheduler:
             scheduler = JobScheduler(jobs=1, use_processes=False)
             payload = {"code": "VA", "config": TINY_CONFIG}
             job = scheduler.submit_payload(payload)
-            await job.wait_terminal()
+            await _settled(job)
             again = scheduler.submit_payload(payload)
             assert again is job
             assert scheduler.completed_dedup_hits == 1
@@ -154,12 +165,12 @@ class TestScheduler:
             scheduler = JobScheduler(jobs=1, use_processes=False)
             payload = {"code": "VA", "config": TINY_CONFIG}
             job = scheduler.submit_payload(payload)
-            await job.wait_terminal()
+            await _settled(job)
             assert job.state is JobState.FAILED
             assert "boom" in job.error
             retry = scheduler.submit_payload(payload)
             assert retry is not job
-            await retry.wait_terminal()
+            await _settled(retry)
             assert retry.state is JobState.FAILED
             await scheduler.shutdown()
 
@@ -174,7 +185,7 @@ class TestScheduler:
                                      timeout_s=0.05)
             job = scheduler.submit_payload(
                 {"code": "VA", "config": TINY_CONFIG})
-            await job.wait_terminal()
+            await _settled(job)
             assert job.state is JobState.FAILED
             assert "timed out" in job.error
             await scheduler.shutdown()
@@ -191,10 +202,10 @@ class TestScheduler:
             queued = scheduler.submit_payload({"code": "PT"})
             assert queued.state is JobState.QUEUED
             assert scheduler.cancel(queued.fingerprint)
-            await queued.wait_terminal()
+            await _settled(queued)
             assert queued.state is JobState.CANCELLED
             scheduler.cancel(blocker.fingerprint)
-            await blocker.wait_terminal()
+            await _settled(blocker)
             await scheduler.shutdown()
 
         asyncio.run(main())
@@ -207,7 +218,7 @@ class TestScheduler:
                                      use_processes=False)
             job = scheduler.submit_payload(
                 {"code": "VA", "config": TINY_CONFIG})
-            await job.wait_terminal()
+            await _settled(job)
             stats = scheduler.stats()
             assert stats["jobs"]["total"] == 1
             assert stats["jobs"]["done"] == 1
@@ -247,7 +258,7 @@ class TestScheduler:
                                      use_processes=False)
             job = scheduler.submit_payload(
                 {"code": "VA", "config": TINY_CONFIG})
-            await job.wait_terminal()
+            await _settled(job)
             await scheduler.shutdown()
             return job
 
@@ -292,7 +303,7 @@ def _reachable(job):
 async def _settle_all(jobs):
     """Wait until *jobs* are terminal and their tasks' callbacks ran."""
     for job in jobs:
-        await job.wait_terminal()
+        await _settled(job)
     for _ in range(3):
         await asyncio.sleep(0)
 
@@ -302,7 +313,7 @@ class TestSettledJobs:
 
     def test_result_body_is_the_json_response_of_the_result(
             self, monkeypatch, tmp_path):
-        import repro.serve.scheduler as scheduler_module
+        import repro.harness.parallel as parallel_module
         results = []
 
         def execute(point):
@@ -310,14 +321,14 @@ class TestSettledJobs:
                 "VA", "small", CoherenceMode.DIRECT_STORE, point.config))
             return results[-1]
 
-        monkeypatch.setattr(scheduler_module, "execute_point", execute)
+        monkeypatch.setattr(parallel_module, "execute_point", execute)
         payload = {"code": "VA", "config": TINY_CONFIG}
 
         async def serve_once():
             scheduler = JobScheduler(cache=ResultCache(tmp_path), jobs=1,
                                      use_processes=False)
             job = scheduler.submit_payload(payload)
-            await job.wait_terminal()
+            await _settled(job)
             await scheduler.shutdown()
             return job
 
@@ -366,7 +377,7 @@ class TestSettledJobs:
             scheduler = JobScheduler(jobs=1, use_processes=False)
             payload = {"code": "VA", "config": TINY_CONFIG}
             failed = scheduler.submit_payload(payload)
-            await failed.wait_terminal()
+            await _settled(failed)
             # the retry takes the fingerprint's entry while the failed
             # job's task may still be finishing; that entry must stay
             retry = scheduler.submit_payload(payload)
@@ -391,12 +402,12 @@ class TestSettledJobs:
         its ``SystemConfig`` and its finished ``asyncio.Task``, the same
         measurement read 32.5 KB per job.
         """
-        import repro.serve.scheduler as scheduler_module
+        import repro.harness.parallel as parallel_module
         config = parse_job_payload({"code": "VA"}).config
         rendered = json.dumps(run_benchmark(
             "VA", "small", CoherenceMode.DIRECT_STORE, config).to_dict())
         monkeypatch.setattr(
-            scheduler_module, "execute_point",
+            parallel_module, "execute_point",
             lambda point: RunResult.from_dict(json.loads(rendered)))
         count = 100
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.utils.statistics import (
     Counter,
     Histogram,
-    RatioStat,
     StatsRegistry,
     geometric_mean,
 )
@@ -34,19 +33,6 @@ class TestCounter:
         counter.increment(3)
         counter.reset()
         assert counter.value == 0
-
-
-class TestRatioStat:
-    def test_empty_ratio_is_zero(self):
-        assert RatioStat("r").ratio == 0.0
-
-    def test_ratio(self):
-        ratio = RatioStat("r")
-        for hit in (True, False, False, True):
-            ratio.record(hit)
-        assert ratio.ratio == 0.5
-        assert ratio.numerator == 2
-        assert ratio.denominator == 4
 
 
 class TestHistogram:
@@ -87,22 +73,17 @@ class TestStatsRegistry:
     def test_dump(self):
         registry = StatsRegistry("u")
         registry.counter("a").increment(2)
-        ratio = registry.ratio("r")
-        ratio.record(True)
+        registry.histogram("h", [10]).record(4)
         snapshot = registry.dump()
-        assert snapshot["u.a"] == 2.0
-        assert snapshot["u.r"] == 1.0
-        assert snapshot["u.r.denominator"] == 1.0
+        assert snapshot == {"u.a": 2.0, "u.h.mean": 4.0, "u.h.samples": 1.0}
 
     def test_reset_clears_everything(self):
         registry = StatsRegistry("u")
         registry.counter("a").increment()
-        registry.ratio("r").record(True)
         registry.histogram("h", [1]).record(5)
         registry.reset()
         snapshot = registry.dump()
         assert snapshot["u.a"] == 0.0
-        assert snapshot["u.r.denominator"] == 0.0
         assert snapshot["u.h.samples"] == 0.0
 
     def test_reset_keeps_held_histogram_registered(self):
